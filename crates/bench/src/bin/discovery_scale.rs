@@ -12,20 +12,14 @@
 //! 2. **End-to-end consensus at scale** — full discovery → identification
 //!    → committee consensus → learning on planted-committee families at
 //!    n = 100 / 500 / 1000 (plus 2000 with `--full`), on **both**
-//!    runtimes. With the sharded router plane
-//!    ([`cupft_net::ThreadedConfig::router_shards`]) every family —
-//!    including Erdős–Rényi's Θ(n²) traffic and scale-free's hub
-//!    hotspots, which used to cap the threaded substrate at a few hundred
-//!    nodes — runs the n=1000 cell threaded, and every threaded cell's
-//!    decisions are asserted identical to the simulator's. Both runtimes
+//!    runtimes. Every family runs the n=1000 cell threaded, and every
+//!    threaded cell's decisions are asserted identical to the
+//!    simulator's. Both runtimes
 //!    run the certificate-verification pipeline (shared verdict pool +
 //!    preflight stage), so each distinct certificate pays for at most one
 //!    HMAC system-wide; per-family wall totals land as flat
 //!    `e2e_wall_seconds_<family>` regression scalars.
-//! 3. **Router shard axis** — one Erdős–Rényi topology run threaded at
-//!    `router_shards ∈ {1, 2, 4}` (1 = the classic single-router loop),
-//!    for cross-PR wall-clock comparison of the shard split itself.
-//! 4. **Churn axis** — the n=100 cells of two families re-run under a
+//! 3. **Churn axis** — the n=100 cells of two families re-run under a
 //!    seeded join + crash-rejoin [`ChurnSpec`] (a periphery vertex joins
 //!    late, another crashes and rejoins from its snapshot), on both
 //!    runtimes with threaded decisions checked against sim. Under
@@ -44,11 +38,9 @@
 //! [`ObsReport`]s as a `<json>.obs.json` sibling (see
 //! `docs/OBSERVABILITY.md`).
 //!
-//! Determinism knobs for CI↔laptop comparability (`scripts/bench.sh`
-//! forwards both): `BENCH_SEED=<u64>` offsets every scenario seed
-//! (default: the committed artifact's seeds), `--shards <n>` pins the
-//! threaded cells' router shard count (default: `min(cores, 4)`, the
-//! runtime's auto resolution).
+//! Determinism knob for CI↔laptop comparability (`scripts/bench.sh`
+//! forwards it): `BENCH_SEED=<u64>` offsets every scenario seed
+//! (default: the committed artifact's seeds).
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -67,8 +59,6 @@ const SWEEP_SIZES: [usize; 3] = [12, 18, 24];
 const SWEEP_HORIZON: u64 = 4_000;
 const E2E_SIZES: [usize; 3] = [100, 500, 1_000];
 const E2E_FULL_SIZES: [usize; 1] = [2_000];
-const SHARD_AXIS: [usize; 3] = [1, 2, 4];
-const SHARD_AXIS_N: usize = 200;
 
 /// `BENCH_SEED` offset, added to every scenario seed (sweep runs and
 /// e2e cells alike). The default of 0 reproduces the committed artifact.
@@ -87,22 +77,6 @@ fn seed_offset() -> u64 {
 /// gate hard in `bench.sh --check-regression`.
 fn obs_enabled() -> bool {
     std::env::args().any(|a| a == "--obs")
-}
-
-/// `--shards <n>` override for the threaded cells' router shard count.
-fn shards_override() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-/// The shard count threaded e2e cells run with: the `--shards` override,
-/// or the runtime's own auto resolution (`min(cores, 4)`).
-fn e2e_shards() -> usize {
-    shards_override()
-        .unwrap_or_else(|| cupft_net::ThreadedConfig::default().effective_router_shards())
 }
 
 fn psync() -> DelayPolicy {
@@ -279,7 +253,6 @@ fn run_e2e_cell(
     scenario: &Scenario,
     actual_n: usize,
     kind: RuntimeKind,
-    shards: Option<usize>,
     sim_decisions: Option<&Decisions>,
     observe: bool,
 ) -> CellResult {
@@ -287,20 +260,15 @@ fn run_e2e_cell(
     if observe {
         scenario = scenario.with_observe(true);
     }
-    if kind == RuntimeKind::Threaded {
-        if let Some(shards) = shards {
-            scenario = scenario.with_router_shards(shards);
-        }
-        if actual_n >= 500 {
-            // Tick knobs read as milliseconds on the threaded substrate:
-            // slow the polling cadence so hundreds of nodes don't swamp
-            // the router plane during the discovery transient, and give
-            // the run a wall budget matched to the slower cadence (it
-            // still stops the instant every correct node decides).
-            scenario.discovery_period = 100;
-            scenario.view_timeout_base = 4_000;
-            scenario = scenario.with_threaded_wall_timeout(std::time::Duration::from_secs(600));
-        }
+    if kind == RuntimeKind::Threaded && actual_n >= 500 {
+        // Tick knobs read as milliseconds on the threaded substrate: slow
+        // the polling cadence so hundreds of nodes don't swamp the
+        // delivery plane during the discovery transient, and give the run
+        // a wall budget matched to the slower cadence (it still stops the
+        // instant every correct node decides).
+        scenario.discovery_period = 100;
+        scenario.view_timeout_base = 4_000;
+        scenario = scenario.with_threaded_wall_timeout(std::time::Duration::from_secs(600));
     }
     let started = Instant::now();
     let outcome = scenario.run_on(kind);
@@ -341,9 +309,6 @@ fn run_e2e_cell(
             Json::U64(outcome.stats.payload_units),
         ),
     ];
-    if let Some(shards) = shards {
-        fields.push(("router_shards".to_string(), Json::U64(shards as u64)));
-    }
     if let Some(matches) = matches_sim {
         fields.push(("decisions_match_sim".to_string(), Json::Bool(matches)));
     }
@@ -360,48 +325,6 @@ fn run_e2e_cell(
         decisions: outcome.decisions,
         matches_sim,
         obs: outcome.obs,
-    }
-}
-
-/// One Erdős–Rényi topology threaded across the shard axis: wall clock
-/// and verdicts per `router_shards`, each checked against the simulator's
-/// decisions.
-fn shard_axis_section(rows: &mut Vec<Json>) {
-    let family = GraphFamily::erdos_renyi(100, FAULT_THRESHOLD);
-    let (mut scenario, actual_n) = e2e_scenario(&family, SHARD_AXIS_N);
-    // The x1 cell runs Θ(n²) Erdős–Rényi traffic through one router
-    // thread — the exact bottleneck the axis measures — so apply the
-    // slow-cadence knobs unconditionally (run_e2e_cell only applies them
-    // from n=500 up) and a generous wall budget: the axis compares shard
-    // counts under one cadence, and must not time out on slower machines.
-    scenario.discovery_period = 100;
-    scenario.view_timeout_base = 4_000;
-    scenario = scenario.with_threaded_wall_timeout(std::time::Duration::from_secs(600));
-    let sim = run_e2e_cell(
-        &family,
-        &scenario,
-        actual_n,
-        RuntimeKind::Sim,
-        None,
-        None,
-        false,
-    );
-    assert!(sim.solved, "shard axis: sim cell must solve consensus");
-    for shards in SHARD_AXIS {
-        let cell = run_e2e_cell(
-            &family,
-            &scenario,
-            actual_n,
-            RuntimeKind::Threaded,
-            Some(shards),
-            Some(&sim.decisions),
-            false,
-        );
-        assert!(
-            cell.solved,
-            "shard axis: threaded x{shards} must solve consensus"
-        );
-        rows.push(cell.row);
     }
 }
 
@@ -476,7 +399,6 @@ fn churn_section(rows: &mut Vec<Json>, scalars: &mut Vec<(String, Json)>, observ
             actual_n,
             RuntimeKind::Sim,
             None,
-            None,
             observe,
         );
         assert!(sim.solved, "churn axis: {family_key} sim cell must solve");
@@ -503,7 +425,6 @@ fn churn_section(rows: &mut Vec<Json>, scalars: &mut Vec<(String, Json)>, observ
             &scenario,
             actual_n,
             RuntimeKind::Threaded,
-            None,
             Some(&sim.decisions),
             false,
         );
@@ -550,8 +471,6 @@ fn main() {
     );
 
     header("End-to-end consensus at scale (discovery → identification → consensus → learning)");
-    let threaded_shards = e2e_shards();
-    println!("  (threaded cells run router_shards = {threaded_shards})");
     let mut e2e_rows = Vec::new();
     let mut all_solved = true;
     let mut all_match_sim = true;
@@ -579,7 +498,6 @@ fn main() {
                 &scenario,
                 actual_n,
                 RuntimeKind::Sim,
-                None,
                 None,
                 observe,
             );
@@ -617,10 +535,7 @@ fn main() {
             *e2e_wall_by_family.entry(family_key.clone()).or_default() += sim.wall;
             e2e_rows.push(sim.row);
             // 2000 OS threads is a stress test, not a benchmark cell.
-            // Everything up to n=1000 runs threaded too: the sharded
-            // router plane drains Erdős–Rényi's Θ(n²) periphery traffic
-            // and scale-free's hub hotspots, which used to cap the
-            // threaded substrate at a few hundred nodes.
+            // Everything up to n=1000 runs threaded too.
             if n > 1_000 {
                 continue;
             }
@@ -629,7 +544,6 @@ fn main() {
                 &scenario,
                 actual_n,
                 RuntimeKind::Threaded,
-                Some(threaded_shards),
                 Some(&sim.decisions),
                 false,
             );
@@ -646,10 +560,6 @@ fn main() {
         "every threaded cell must reach the simulator's decisions"
     );
 
-    header("Router shard axis (erdos-renyi, threaded, router_shards in {1, 2, 4})");
-    let mut shard_rows = Vec::new();
-    shard_axis_section(&mut shard_rows);
-
     header("Churn axis (join + crash-rejoin at n=100, both runtimes)");
     let mut churn_rows = Vec::new();
     let churn_wall = churn_section(&mut churn_rows, &mut obs_scalars, obs);
@@ -657,16 +567,13 @@ fn main() {
     println!();
     println!("Expected shape: sweep payload drops ≥10x because delta replies carry only");
     println!("unseen certificates and synced pairs stop polling; end-to-end n=1000 runs on");
-    println!("both substrates because identification is dirty-gated per tick and delivery");
-    println!("scheduling fans out across router shards instead of one router thread.");
+    println!("both substrates because identification is dirty-gated per tick.");
 
     if let Some(path) = json_path_from_args() {
         let doc = Json::obj([
             ("fault_threshold", Json::U64(FAULT_THRESHOLD as u64)),
-            ("router_shards", Json::U64(threaded_shards as u64)),
             ("sweep", Json::Arr(sweep_rows)),
             ("e2e", Json::Arr(e2e_rows)),
-            ("shard_axis", Json::Arr(shard_rows)),
             ("churn", Json::Arr(churn_rows)),
             ("regression", {
                 let mut fields = vec![

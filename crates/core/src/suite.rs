@@ -106,16 +106,6 @@ impl ScenarioSuite {
         &mut self.entries
     }
 
-    /// Pins the threaded-substrate router shard count on every entry
-    /// (see [`Scenario::with_router_shards`]) — the suite-level knob for
-    /// sim-vs-threaded parity sweeps across shard counts. No effect on
-    /// simulator runs.
-    pub fn set_router_shards(&mut self, shards: usize) {
-        for entry in &mut self.entries {
-            entry.scenario.router_shards = Some(shards);
-        }
-    }
-
     /// Number of scenarios.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -71,9 +71,9 @@
 //! inbound `SETPDS` bundles against a shared [`CertPool`] memo before
 //! delivery — batch-verifying whole bundles under one registry read lock —
 //! so by the time [`DiscoveryState::absorb`] runs, every verdict is a memo
-//! hit. On the threaded runtime the stage runs on a real worker pool off
-//! the protocol threads; in the simulator it runs synchronously at the
-//! delivery event, leaving traces byte-identical (see [`cupft_net::stage`]).
+//! hit. On the wall-clock runtimes the stage runs inline on the sending
+//! thread; in the simulator it runs synchronously at the delivery event,
+//! leaving traces byte-identical (see [`cupft_net::stage`]).
 //!
 //! The module exposes the protocol twice:
 //!
@@ -106,8 +106,8 @@ use cupft_obs::Recorder;
 /// inbound `SETPDS` in the shared [`CertPool`] memo before the message
 /// reaches its destination actor (see the [module docs](self)).
 ///
-/// Cheap to clone (two `Arc`s); the threaded runtime shares one instance
-/// across its stage workers.
+/// Cheap to clone (two `Arc`s); the wall-clock runtimes share one
+/// instance across every sending thread.
 #[derive(Debug, Clone)]
 pub struct VerifyStage {
     pool: Arc<CertPool>,

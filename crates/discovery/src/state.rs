@@ -83,7 +83,7 @@ pub struct DiscoveryState {
     verdicts: HashMap<u128, bool>,
     /// Optional system-wide verdict memo (the [`CertPool`] of the run's
     /// `SystemSetup`): when attached, a certificate any process — or the
-    /// verification stage's worker pool — has already checked is never
+    /// verification stage — has already checked is never
     /// re-verified here; this process only records the shared verdict in
     /// its local memo (so per-process forgery counters keep their exact
     /// serial semantics).

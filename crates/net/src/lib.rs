@@ -14,21 +14,23 @@
 //!   explicit GST, seeded adversarial pre-GST delays, and scripted delay
 //!   policies (needed to reproduce the indistinguishability executions of
 //!   Theorem 7 exactly);
-//! * [`threaded::ThreadedRuntime`] — an OS-thread runtime using channel
-//!   inboxes with randomized real-time delays applied by a **sharded
-//!   router plane** ([`ThreadedConfig::router_shards`],
-//!   destination-hashed, per-shard delay wheels and stats merged
-//!   deterministically), for wall-clock validation
-//!   ([`threaded::run_threaded`] remains as a by-value convenience);
-//! * [`socket::SocketRuntime`] — a real-socket runtime carrying every
-//!   send over TCP in the versioned [`cupft_wire`] frame format, with
-//!   peers addressed by opaque [`PeerAddr`]s — loopback within one OS
-//!   process, or genuinely distributed across processes via
-//!   [`Runtime::register_peer`].
+//! * [`threaded::ThreadedRuntime`] — every actor on an OS thread, messages
+//!   carried into in-process inboxes after a uniform random real-time
+//!   delay, for wall-clock validation ([`threaded::run_threaded`] remains
+//!   as a by-value convenience);
+//! * [`socket::SocketRuntime`] — every send carried over TCP in the
+//!   versioned [`cupft_wire`] frame format, with peers addressed by opaque
+//!   [`PeerAddr`]s — loopback within one OS process, or genuinely
+//!   distributed across processes via [`Runtime::register_peer`].
+//!
+//! The last two are one wall-clock runtime, [`Realtime`], over two
+//! transports (an in-process channel and framed TCP): one actor loop, one
+//! coordinator, and one send path (preflight, then tamper, accounting and
+//! delay sampling under one gate) shared by both.
 //!
 //! Experiment code written against `Runtime` — like
 //! `cupft_core::run_scenario_on` and the `ScenarioSuite` batch engine —
-//! runs unchanged on either substrate.
+//! runs unchanged on any substrate.
 //!
 //! # Example
 //!
@@ -72,6 +74,7 @@
 
 mod actor;
 mod delay;
+mod realtime;
 pub mod runtime;
 pub mod sim;
 pub mod socket;
@@ -82,6 +85,7 @@ pub mod threaded;
 
 pub use actor::{Actor, Context, Labeled, TimerKind};
 pub use delay::DelayPolicy;
+pub use realtime::Realtime;
 pub use runtime::{PeerAddr, Runtime, RuntimeReport};
 pub use sim::{RunReport, SimConfig, Simulation, TraceEntry};
 pub use socket::{SocketConfig, SocketRuntime};

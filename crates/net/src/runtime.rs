@@ -129,10 +129,10 @@ pub struct RuntimeReport {
     /// Whether the caller's stop condition ended the run.
     pub stopped: bool,
     /// When the run ended: simulated ticks for the simulator, elapsed
-    /// milliseconds for the threaded runtime.
+    /// milliseconds for the wall-clock runtimes.
     pub end_time: Time,
-    /// Events processed (deliveries + timers for the simulator;
-    /// router-observed deliveries for the threaded runtime).
+    /// Events processed (deliveries + timers for the simulator; inbox
+    /// deliveries for the wall-clock runtimes).
     pub events: u64,
     /// Network statistics of the run.
     pub stats: NetStats,

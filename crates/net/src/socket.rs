@@ -1,16 +1,14 @@
 //! Real-socket runtime: the same actors over loopback (or LAN) TCP.
 //!
-//! The third [`Runtime`] substrate. Where the simulator models channels as
-//! an event queue and the threaded runtime as crossbeam channels, this one
-//! opens genuine TCP connections and speaks the versioned wire format of
+//! [`SocketRuntime`] is the shared wall-clock runtime (`realtime.rs`)
+//! over a TCP transport speaking the versioned wire format of
 //! [`cupft_wire`]: every send — including sends between two actors hosted
-//! by the *same* runtime — is encoded, framed
-//! ([`cupft_wire::frame`]), written to a socket, read back, and decoded
-//! before delivery. A single-process socket run therefore exercises the
-//! full codec path end to end, and a multi-process run (one runtime per OS
-//! process, peers registered via [`Runtime::register_peer`] with
-//! [`PeerAddr::Tcp`] addresses) is a real distributed deployment of the
-//! protocol stack.
+//! by the *same* runtime — is encoded, framed ([`cupft_wire::frame`]),
+//! written to a socket, read back, and decoded before delivery. A
+//! single-process socket run therefore exercises the full codec path end
+//! to end, and a multi-process run (one runtime per OS process, peers
+//! registered via [`crate::Runtime::register_peer`] with [`PeerAddr::Tcp`]
+//! addresses) is a real distributed deployment of the protocol stack.
 //!
 //! # Topology
 //!
@@ -24,42 +22,36 @@
 //! connection; readers decode `from ‖ to ‖ msg` frames and deliver into
 //! the destination actor's inbox.
 //!
-//! # Tamper discipline
-//!
-//! A [`Tamper`], when installed, is consulted **at send time, on the
-//! sending actor's thread, under one shared lock** — so it sees each
-//! message exactly once, with one `&mut` state, and per-sender emission
-//! order is exactly the order the actor emitted (an actor's sends are
-//! sequential on its own thread). This is the same observable contract the
-//! threaded runtime's serialized tamper shard provides. `Fate::Drop`
-//! discards the frame before it touches a socket; `Fate::Delay` routes the
-//! already-encoded frame through a delay wheel thread that forwards it to
-//! the connection pool when due.
-//!
-//! Like the threaded runtime, socket interleaving is wall-clock real and
-//! inherently nondeterministic — use [`crate::sim::Simulation`] for
-//! reproducible experiments and this runtime to validate that the
-//! protocols survive a real network stack and codec.
+//! The transport adds no artificial delay — real TCP latency is the
+//! network. The shared send path runs the preflight, the tamper and the
+//! accounting on the sending actor's thread; a `Fate::Delay` holds the
+//! message on the runtime's delay wheel before it is framed and written.
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use cupft_graph::ProcessId;
-use cupft_wire::frame::{frame, read_frame, FrameIoError};
+use cupft_wire::frame::{frame, read_frame};
 use cupft_wire::{Decode, Encode, Reader};
 use parking_lot::Mutex;
 
-use crate::actor::{Actor, Context, Labeled, TimerKind};
-use crate::runtime::{PeerAddr, Runtime, RuntimeReport};
-use crate::stats::NetStats;
-use crate::tamper::{Fate, Tamper};
-use crate::Time;
+use crate::actor::Labeled;
+use crate::realtime::{Bounds, Link, Realtime, Sink, Transport};
+use crate::runtime::PeerAddr;
+
+/// Reconnect attempts a writer makes per frame before giving the frame up
+/// (connections are retried afresh for the next frame).
+const CONNECT_RETRIES: u32 = 20;
+/// Base backoff between reconnect attempts (scaled linearly by the
+/// attempt number).
+const RETRY_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Configuration for the socket runtime.
 #[derive(Debug, Clone)]
@@ -73,12 +65,6 @@ pub struct SocketConfig {
     /// External stop signal, same contract as
     /// [`crate::ThreadedConfig::stop`].
     pub stop: Option<Arc<AtomicBool>>,
-    /// Reconnect attempts a writer makes per frame before giving the
-    /// frame up (connections are retried afresh for the next frame).
-    pub connect_retries: u32,
-    /// Base backoff between reconnect attempts (scaled linearly by the
-    /// attempt number).
-    pub retry_backoff: Duration,
 }
 
 impl Default for SocketConfig {
@@ -87,43 +73,7 @@ impl Default for SocketConfig {
             bind: SocketAddr::from(([127, 0, 0, 1], 0)),
             wall_timeout: Duration::from_secs(10),
             stop: None,
-            connect_retries: 20,
-            retry_backoff: Duration::from_millis(10),
         }
-    }
-}
-
-/// Send-side shared state: the tamper and the stats, under one lock so a
-/// send's accounting and its disposition are atomic and the tamper keeps
-/// single-`&mut` semantics across all sending threads.
-struct Gate<M> {
-    tamper: Option<Box<dyn Tamper<M>>>,
-    stats: NetStats,
-}
-
-/// A tamper-delayed, already-encoded frame waiting on the delay wheel.
-struct Delayed {
-    due: Instant,
-    seq: u64,
-    addr: SocketAddr,
-    bytes: Vec<u8>,
-}
-
-impl PartialEq for Delayed {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Delayed {}
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // reversed: BinaryHeap is a max-heap, we want earliest due first
-        (other.due, other.seq).cmp(&(self.due, self.seq))
     }
 }
 
@@ -134,18 +84,14 @@ struct ConnPool {
     conns: Mutex<HashMap<SocketAddr, Sender<Vec<u8>>>>,
     handles: Mutex<Vec<thread::JoinHandle<()>>>,
     shutdown: Arc<AtomicBool>,
-    retries: u32,
-    backoff: Duration,
 }
 
 impl ConnPool {
-    fn new(shutdown: Arc<AtomicBool>, config: &SocketConfig) -> Self {
+    fn new(shutdown: Arc<AtomicBool>) -> Self {
         ConnPool {
             conns: Mutex::new(HashMap::new()),
             handles: Mutex::new(Vec::new()),
             shutdown,
-            retries: config.connect_retries,
-            backoff: config.retry_backoff,
         }
     }
 
@@ -159,11 +105,9 @@ impl ConnPool {
                 None => {
                     let (tx, rx) = unbounded::<Vec<u8>>();
                     let shutdown = self.shutdown.clone();
-                    let retries = self.retries;
-                    let backoff = self.backoff;
-                    self.handles.lock().push(thread::spawn(move || {
-                        writer_loop(addr, rx, shutdown, retries, backoff)
-                    }));
+                    self.handles
+                        .lock()
+                        .push(thread::spawn(move || writer_loop(addr, rx, shutdown)));
                     conns.insert(addr, tx.clone());
                     tx
                 }
@@ -187,16 +131,9 @@ impl ConnPool {
 /// One writer thread's loop: write each queued frame, reconnecting with
 /// bounded linear backoff on failure. A frame whose retries are exhausted
 /// is discarded — the wall timeout bounds how long a run can spend
-/// retrying, and the threaded runtime likewise discards in-flight
-/// messages at shutdown. Exits (flushing the queue) when the pool drops
-/// its sender.
-fn writer_loop(
-    addr: SocketAddr,
-    rx: Receiver<Vec<u8>>,
-    shutdown: Arc<AtomicBool>,
-    retries: u32,
-    backoff: Duration,
-) {
+/// retrying, and messages still in flight at shutdown are discarded
+/// anyway. Exits (flushing the queue) when the pool drops its sender.
+fn writer_loop(addr: SocketAddr, rx: Receiver<Vec<u8>>, shutdown: Arc<AtomicBool>) {
     let mut stream: Option<TcpStream> = None;
     while let Ok(bytes) = rx.recv() {
         let mut attempt = 0u32;
@@ -213,11 +150,11 @@ fn writer_loop(
                 }
                 stream = None;
             }
-            if attempt >= retries || shutdown.load(Ordering::SeqCst) {
+            if attempt >= CONNECT_RETRIES || shutdown.load(Ordering::SeqCst) {
                 break;
             }
             attempt += 1;
-            thread::sleep(backoff * attempt);
+            thread::sleep(RETRY_BACKOFF * attempt);
         }
     }
     if let Some(s) = stream {
@@ -225,152 +162,30 @@ fn writer_loop(
     }
 }
 
-/// The delay wheel thread: holds tamper-delayed frames until due, then
-/// forwards them to the connection pool. Pending frames are discarded
-/// when the runtime shuts down (same as the threaded router discarding
-/// its delay wheel).
-fn delay_loop(rx: Receiver<Delayed>, pool: Arc<ConnPool>) {
-    let mut heap: BinaryHeap<Delayed> = BinaryHeap::new();
-    loop {
-        let now = Instant::now();
-        while heap.peek().is_some_and(|d| d.due <= now) {
-            let d = heap.pop().expect("peeked");
-            pool.send_to(d.addr, d.bytes);
-        }
-        let wait = heap
-            .peek()
-            .map(|d| d.due.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(50))
-            .min(Duration::from_millis(50));
-        match rx.recv_timeout(wait) {
-            Ok(d) => heap.push(d),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-}
-
-/// The actor-side send handle: encode, account, tamper, route.
-struct SocketTx<M> {
-    gate: Arc<Mutex<Gate<M>>>,
-    routes: Arc<HashMap<ProcessId, SocketAddr>>,
-    pool: Arc<ConnPool>,
-    delay: Sender<Delayed>,
-    delay_seq: Arc<Mutex<u64>>,
-    halt: Sender<ProcessId>,
-    start: Instant,
-}
-
-impl<M> Clone for SocketTx<M> {
-    fn clone(&self) -> Self {
-        SocketTx {
-            gate: self.gate.clone(),
-            routes: self.routes.clone(),
-            pool: self.pool.clone(),
-            delay: self.delay.clone(),
-            delay_seq: self.delay_seq.clone(),
-            halt: self.halt.clone(),
-            start: self.start,
-        }
-    }
-}
-
-impl<M: Labeled + Encode> SocketTx<M> {
-    fn send(&self, from: ProcessId, to: ProcessId, msg: M) {
-        let label = msg.label();
-        let payload = msg.payload_units();
-        // Accounting and disposition are atomic under the gate lock; the
-        // sending thread is the actor's own, so per-sender emission order
-        // at the tamper is the actor's program order.
-        let extra =
-            {
-                let mut gate = self.gate.lock();
-                gate.stats.record_send(label, payload);
-                match gate.tamper.as_mut().map(|t| {
-                    t.disposition(from, to, label, self.start.elapsed().as_millis() as Time)
-                }) {
-                    None | Some(Fate::Deliver) => Duration::ZERO,
-                    Some(Fate::Delay(ms)) => Duration::from_millis(ms),
-                    Some(Fate::Drop) => {
-                        gate.stats.record_drop(payload);
-                        return;
-                    }
-                }
-            };
-        // Sends to processes the route table does not know go nowhere —
-        // the socket analogue of the simulator discarding events for
-        // unknown actors.
-        let Some(&addr) = self.routes.get(&to) else {
-            return;
-        };
-        let mut inner = Vec::new();
-        from.encode(&mut inner);
-        to.encode(&mut inner);
-        msg.encode(&mut inner);
-        let bytes = frame(&inner);
-        if extra.is_zero() {
-            self.pool.send_to(addr, bytes);
-        } else {
-            let seq = {
-                let mut s = self.delay_seq.lock();
-                *s += 1;
-                *s
-            };
-            let _ = self.delay.send(Delayed {
-                due: Instant::now() + extra,
-                seq,
-                addr,
-                bytes,
-            });
-        }
-    }
-
-    fn halted(&self, id: ProcessId) {
-        let _ = self.halt.send(id);
-    }
-}
-
-/// Receive-side dispatch: decode a frame's `from ‖ to ‖ msg` payload and
-/// deliver into the destination inbox.
-struct Dispatch<M> {
-    inboxes: HashMap<ProcessId, Sender<(ProcessId, M)>>,
-    gate: Arc<Mutex<Gate<M>>>,
-}
-
-impl<M: Labeled + Decode> Dispatch<M> {
-    /// Returns `Err` on a malformed payload, which drops the connection —
-    /// a peer that desyncs the stream cannot be resynchronized.
-    fn dispatch(&self, payload: &[u8]) -> Result<(), cupft_wire::WireError> {
-        let mut r = Reader::new(payload);
-        let from = ProcessId::decode(&mut r)?;
-        let to = ProcessId::decode(&mut r)?;
-        let msg = M::decode(&mut r)?;
-        r.finish()?;
-        if let Some(tx) = self.inboxes.get(&to) {
-            let payload_units = msg.payload_units();
-            if tx.send((from, msg)).is_ok() {
-                let mut gate = self.gate.lock();
-                gate.stats.messages_delivered += 1;
-                gate.stats.record_delivery_payload(payload_units);
-            }
-        }
-        Ok(())
-    }
+/// Receive-side dispatch: decodes a frame's `from ‖ to ‖ msg` payload and
+/// delivers it into the destination inbox. `Err` on a malformed payload
+/// drops the connection — a peer that desyncs the stream cannot be
+/// resynchronized.
+fn dispatch<M: Labeled + Decode>(
+    sink: &Sink<M>,
+    payload: &[u8],
+) -> Result<(), cupft_wire::WireError> {
+    let mut r = Reader::new(payload);
+    let from = ProcessId::decode(&mut r)?;
+    let to = ProcessId::decode(&mut r)?;
+    let msg = M::decode(&mut r)?;
+    r.finish()?;
+    sink.deliver(from, to, msg);
+    Ok(())
 }
 
 /// One reader thread's loop: framed reads until clean EOF, a stream
 /// error, or a malformed frame.
-fn reader_loop<M: Labeled + Decode>(stream: TcpStream, dispatch: Arc<Dispatch<M>>) {
+fn reader_loop<M: Labeled + Decode>(stream: TcpStream, sink: Arc<Sink<M>>) {
     let mut reader = BufReader::new(stream);
-    loop {
-        match read_frame(&mut reader) {
-            Ok(Some(payload)) => {
-                if dispatch.dispatch(&payload).is_err() {
-                    break;
-                }
-            }
-            Ok(None) => break,
-            Err(FrameIoError::Io(_)) | Err(FrameIoError::Wire(_)) => break,
+    while let Ok(Some(payload)) = read_frame(&mut reader) {
+        if dispatch(&sink, &payload).is_err() {
+            break;
         }
     }
 }
@@ -379,33 +194,26 @@ fn reader_loop<M: Labeled + Decode>(stream: TcpStream, dispatch: Arc<Dispatch<M>
 /// thread per inbound connection; keeps a clone of every accepted stream
 /// so shutdown can force-close them and join the readers even if a peer
 /// never closes its end.
-struct AcceptTask<M> {
+fn accept_loop<M: Labeled + Decode + Send + 'static>(
     listener: TcpListener,
-    dispatch: Arc<Dispatch<M>>,
+    sink: Arc<Sink<M>>,
     shutdown: Arc<AtomicBool>,
     accepted: Arc<Mutex<Vec<TcpStream>>>,
-}
-
-fn accept_loop<M: Labeled + Decode + Send + 'static>(
-    task: AcceptTask<M>,
 ) -> Vec<thread::JoinHandle<()>> {
     let mut readers = Vec::new();
-    task.listener
+    listener
         .set_nonblocking(true)
         .expect("listener nonblocking");
-    loop {
-        if task.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match task.listener.accept() {
+    while !shutdown.load(Ordering::SeqCst) {
+        match listener.accept() {
             Ok((stream, _)) => {
                 stream.set_nonblocking(false).expect("stream blocking");
                 let _ = stream.set_nodelay(true);
                 if let Ok(clone) = stream.try_clone() {
-                    task.accepted.lock().push(clone);
+                    accepted.lock().push(clone);
                 }
-                let dispatch = task.dispatch.clone();
-                readers.push(thread::spawn(move || reader_loop(stream, dispatch)));
+                let sink = sink.clone();
+                readers.push(thread::spawn(move || reader_loop(stream, sink)));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(2));
@@ -416,383 +224,143 @@ fn accept_loop<M: Labeled + Decode + Send + 'static>(
     readers
 }
 
-/// The real-socket [`Runtime`]: each actor on its own thread, every send
-/// encoded and carried over TCP — loopback within one OS process, real
-/// peers across processes via [`Runtime::register_peer`].
-///
-/// Lifecycle mirrors the trait contract: [`Runtime::add_actor`] (and
-/// `register_peer`) before the run, one [`Runtime::run_until_stopped`],
-/// then post-run inspection via [`Runtime::actor_as`]. A second run
-/// request returns the recorded report unchanged.
-pub struct SocketRuntime<M> {
-    config: SocketConfig,
+/// The TCP transport: the runtime's listener plus the book of peers
+/// hosted by other runtimes.
+#[derive(Debug)]
+pub struct Tcp {
     listener: TcpListener,
     local_addr: SocketAddr,
-    pending: Vec<Box<dyn Actor<M>>>,
-    finished: BTreeMap<ProcessId, Box<dyn Actor<M>>>,
     book: HashMap<ProcessId, SocketAddr>,
-    stats: NetStats,
-    last_report: Option<RuntimeReport>,
-    elapsed: Duration,
-    tamper: Option<Box<dyn Tamper<M>>>,
 }
 
-impl<M> SocketRuntime<M> {
+/// One run's open TCP transport: routes, writers, and the accept side.
+struct TcpLink {
+    routes: HashMap<ProcessId, SocketAddr>,
+    pool: ConnPool,
+    accepted: Arc<Mutex<Vec<TcpStream>>>,
+    accept: Mutex<Option<thread::JoinHandle<Vec<thread::JoinHandle<()>>>>>,
+}
+
+impl<M: Encode> Link<M> for TcpLink {
+    fn carry(&self, from: ProcessId, to: ProcessId, msg: M) -> Result<(), M> {
+        // Sends to processes the route table does not know go nowhere —
+        // the socket analogue of the simulator discarding events for
+        // unknown actors.
+        if let Some(&addr) = self.routes.get(&to) {
+            let mut inner = Vec::new();
+            from.encode(&mut inner);
+            to.encode(&mut inner);
+            msg.encode(&mut inner);
+            self.pool.send_to(addr, frame(&inner));
+        }
+        Ok(())
+    }
+
+    /// Closes outbound connections, then force-closes accepted streams so
+    /// readers unblock even if a remote never closes its end, and joins
+    /// every thread.
+    fn close(&self) {
+        self.pool.close();
+        for stream in self.accepted.lock().drain(..) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        if let Some(accept) = self.accept.lock().take() {
+            for reader in accept.join().expect("accept loop panicked") {
+                reader.join().expect("socket reader panicked");
+            }
+        }
+    }
+}
+
+impl<M: Labeled + Encode + Decode + Send + 'static> Transport<M> for Tcp {
+    fn name(&self) -> &'static str {
+        "socket"
+    }
+
+    fn jitter_ms(&self) -> RangeInclusive<u64> {
+        0..=0
+    }
+
+    /// Routes local actors through our own listener (every send rides
+    /// TCP, so the codec is always exercised) and remote peers through
+    /// the registered book.
+    fn open(&mut self, sink: Arc<Sink<M>>, shutdown: Arc<AtomicBool>) -> Arc<dyn Link<M>> {
+        let mut routes = self.book.clone();
+        routes.extend(sink.ids().into_iter().map(|id| (id, self.local_addr)));
+        let accepted = Arc::new(Mutex::new(Vec::new()));
+        let accept = {
+            let listener = self.listener.try_clone().expect("listener clone");
+            let shutdown = shutdown.clone();
+            let accepted = accepted.clone();
+            thread::spawn(move || accept_loop(listener, sink, shutdown, accepted))
+        };
+        Arc::new(TcpLink {
+            routes,
+            pool: ConnPool::new(shutdown),
+            accepted,
+            accept: Mutex::new(Some(accept)),
+        })
+    }
+
+    fn register_peer(&mut self, id: ProcessId, addr: PeerAddr, local: bool) {
+        let PeerAddr::Tcp(addr) = addr else {
+            panic!("socket runtime peers need TCP addresses, got {addr}");
+        };
+        assert!(!local, "process {id} is a local actor, not a remote peer");
+        self.book.insert(id, addr);
+    }
+
+    fn addr_of(&self, id: ProcessId, local: bool) -> Option<PeerAddr> {
+        if local {
+            return Some(PeerAddr::Tcp(self.local_addr));
+        }
+        self.book.get(&id).map(|&addr| PeerAddr::Tcp(addr))
+    }
+}
+
+/// The real-socket [`crate::Runtime`]: each actor on its own thread, every send
+/// encoded and carried over TCP — loopback within one OS process, real
+/// peers across processes via [`crate::Runtime::register_peer`]. See
+/// `realtime.rs` for the shared loop and send path.
+pub type SocketRuntime<M> = Realtime<M, Tcp>;
+
+impl<M> Realtime<M, Tcp> {
     /// Creates a runtime and binds its listener, so
     /// [`Self::local_addr`] is publishable before the run starts.
     pub fn new(config: SocketConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(config.bind)?;
         let local_addr = listener.local_addr()?;
-        Ok(SocketRuntime {
-            config,
-            listener,
-            local_addr,
-            pending: Vec::new(),
-            finished: BTreeMap::new(),
-            book: HashMap::new(),
-            stats: NetStats::default(),
-            last_report: None,
-            elapsed: Duration::ZERO,
-            tamper: None,
-        })
+        Ok(Realtime::with_transport(
+            Tcp {
+                listener,
+                local_addr,
+                book: HashMap::new(),
+            },
+            Bounds {
+                wall_timeout: config.wall_timeout,
+                stop: config.stop,
+                seed: 0,
+            },
+        ))
     }
 
     /// The actual bound address of this runtime's listener (resolves the
     /// ephemeral port when [`SocketConfig::bind`] used port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.transport.local_addr
     }
-
-    /// Wall-clock duration of the completed run.
-    pub fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
-
-    /// Consumes the runtime, returning the actors in their final states.
-    pub fn into_actors(self) -> BTreeMap<ProcessId, Box<dyn Actor<M>>> {
-        self.finished
-    }
-}
-
-impl<M> Runtime<M> for SocketRuntime<M>
-where
-    M: Clone + Send + Labeled + Encode + Decode + 'static,
-{
-    fn name(&self) -> &'static str {
-        "socket"
-    }
-
-    fn add_actor(&mut self, actor: Box<dyn Actor<M>>) {
-        assert!(
-            self.last_report.is_none(),
-            "SocketRuntime actors must be registered before the run"
-        );
-        let id = actor.id();
-        assert!(
-            self.pending.iter().all(|a| a.id() != id),
-            "duplicate actor {id}"
-        );
-        assert!(
-            !self.book.contains_key(&id),
-            "actor {id} already registered as a remote peer"
-        );
-        self.pending.push(actor);
-    }
-
-    fn set_tamper(&mut self, tamper: Box<dyn Tamper<M>>) {
-        assert!(
-            self.last_report.is_none(),
-            "SocketRuntime tamper must be installed before the run"
-        );
-        self.tamper = Some(tamper);
-    }
-
-    fn register_peer(&mut self, id: ProcessId, addr: PeerAddr) {
-        assert!(
-            self.last_report.is_none(),
-            "SocketRuntime peers must be registered before the run"
-        );
-        let PeerAddr::Tcp(addr) = addr else {
-            panic!("socket runtime peers need TCP addresses, got {addr}");
-        };
-        assert!(
-            self.pending.iter().all(|a| a.id() != id),
-            "process {id} is a local actor, not a remote peer"
-        );
-        self.book.insert(id, addr);
-    }
-
-    fn addr_of(&self, id: ProcessId) -> Option<PeerAddr> {
-        if self.pending.iter().any(|a| a.id() == id) || self.finished.contains_key(&id) {
-            return Some(PeerAddr::Tcp(self.local_addr));
-        }
-        self.book.get(&id).map(|&addr| PeerAddr::Tcp(addr))
-    }
-
-    fn run_until_stopped(&mut self, stop: &mut dyn FnMut() -> bool) -> RuntimeReport {
-        // Already ran: report the recorded outcome unchanged.
-        if let Some(report) = &self.last_report {
-            return report.clone();
-        }
-        let start = Instant::now();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let actors = std::mem::take(&mut self.pending);
-        let ids: Vec<ProcessId> = actors.iter().map(|a| a.id()).collect();
-
-        // Route table: local actors through our own listener (every send
-        // rides TCP, so the codec is always exercised), remote peers from
-        // the registered book.
-        let mut routes: HashMap<ProcessId, SocketAddr> = self.book.clone();
-        for &id in &ids {
-            routes.insert(id, self.local_addr);
-        }
-        let routes = Arc::new(routes);
-
-        let gate = Arc::new(Mutex::new(Gate {
-            tamper: self.tamper.take(),
-            stats: NetStats::default(),
-        }));
-        let pool = Arc::new(ConnPool::new(shutdown.clone(), &self.config));
-        let (delay_tx, delay_rx) = unbounded::<Delayed>();
-        let (halt_tx, halt_rx) = unbounded::<ProcessId>();
-
-        let mut inboxes: HashMap<ProcessId, Sender<(ProcessId, M)>> = HashMap::new();
-        let mut actor_rxs = Vec::new();
-        for actor in &actors {
-            let (tx, rx) = bounded::<(ProcessId, M)>(4096);
-            inboxes.insert(actor.id(), tx);
-            actor_rxs.push(rx);
-        }
-        let dispatch = Arc::new(Dispatch {
-            inboxes,
-            gate: gate.clone(),
-        });
-
-        let accepted = Arc::new(Mutex::new(Vec::new()));
-        let accept_handle = {
-            let task = AcceptTask {
-                listener: self.listener.try_clone().expect("listener clone"),
-                dispatch: dispatch.clone(),
-                shutdown: shutdown.clone(),
-                accepted: accepted.clone(),
-            };
-            thread::spawn(move || accept_loop(task))
-        };
-        let delay_handle = {
-            let pool = pool.clone();
-            thread::spawn(move || delay_loop(delay_rx, pool))
-        };
-
-        let tx = SocketTx {
-            gate: gate.clone(),
-            routes,
-            pool: pool.clone(),
-            delay: delay_tx,
-            delay_seq: Arc::new(Mutex::new(0)),
-            halt: halt_tx,
-            start,
-        };
-        let mut actor_handles = Vec::new();
-        for (actor, rx) in actors.into_iter().zip(actor_rxs) {
-            let tx = tx.clone();
-            let shutdown = shutdown.clone();
-            actor_handles.push(thread::spawn(move || {
-                actor_loop(actor, rx, tx, shutdown, start)
-            }));
-        }
-        drop(tx);
-
-        // Coordinator: track local halts, the stop condition, and the
-        // deadline. Remote peers are not ours to track — a multi-process
-        // driver coordinates global completion out of band.
-        let mut halted: BTreeMap<ProcessId, bool> = ids.iter().map(|&i| (i, false)).collect();
-        let deadline = start + self.config.wall_timeout;
-        let mut stopped = false;
-        loop {
-            if !halted.is_empty() && halted.values().all(|&h| h) {
-                break;
-            }
-            if stop()
-                || self
-                    .config
-                    .stop
-                    .as_ref()
-                    .is_some_and(|s| s.load(Ordering::SeqCst))
-            {
-                stopped = true;
-                break;
-            }
-            if Instant::now() >= deadline {
-                break;
-            }
-            match halt_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(id) => {
-                    halted.insert(id, true);
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        let all_halted = !halted.is_empty() && halted.values().all(|&h| h);
-
-        // Shutdown: stop actors first (no new sends), retire the delay
-        // wheel, close outbound connections, then force-close accepted
-        // streams so readers unblock even if a remote never closes its
-        // end, and join everything.
-        shutdown.store(true, Ordering::SeqCst);
-        for handle in actor_handles {
-            let actor = handle.join().expect("socket actor panicked");
-            self.finished.insert(actor.id(), actor);
-        }
-        drop(dispatch);
-        pool.close();
-        for stream in accepted.lock().drain(..) {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        let readers = accept_handle.join().expect("accept loop panicked");
-        for reader in readers {
-            reader.join().expect("socket reader panicked");
-        }
-        delay_handle.join().expect("delay wheel panicked");
-
-        self.stats = gate.lock().stats.clone();
-        self.elapsed = start.elapsed();
-        let report = RuntimeReport {
-            all_halted,
-            stopped,
-            end_time: self.elapsed.as_millis() as Time,
-            events: self.stats.messages_delivered,
-            stats: self.stats.clone(),
-            obs: None,
-        };
-        self.last_report = Some(report.clone());
-        report
-    }
-
-    fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    fn actor_ids(&self) -> Vec<ProcessId> {
-        let mut ids: Vec<ProcessId> = self.finished.keys().copied().collect();
-        ids.extend(self.pending.iter().map(|a| a.id()));
-        ids.sort_unstable();
-        ids
-    }
-
-    fn actor_dyn(&self, id: ProcessId) -> Option<&dyn Actor<M>> {
-        self.finished.get(&id).map(|b| b.as_ref())
-    }
-}
-
-/// The actor loop, mirroring the threaded runtime's: fire due timers,
-/// drain bounded message batches between firings so neither can starve
-/// the other, and notify the coordinator on halt.
-fn actor_loop<M>(
-    mut actor: Box<dyn Actor<M>>,
-    inbox: Receiver<(ProcessId, M)>,
-    tx: SocketTx<M>,
-    shutdown: Arc<AtomicBool>,
-    start: Instant,
-) -> Box<dyn Actor<M>>
-where
-    M: Clone + Send + Labeled + Encode + 'static,
-{
-    let id = actor.id();
-    let mut timers: BinaryHeap<(std::cmp::Reverse<Time>, TimerKind)> = BinaryHeap::new();
-    let now_ms = |start: Instant| -> Time { start.elapsed().as_millis() as Time };
-
-    let mut halted = false;
-    {
-        let mut ctx = Context::new(now_ms(start), id);
-        actor.on_start(&mut ctx);
-        halted = apply(&mut timers, &tx, id, ctx, now_ms(start)) || halted;
-    }
-
-    while !halted && !shutdown.load(Ordering::SeqCst) {
-        let now = now_ms(start);
-        let mut fired = false;
-        while timers
-            .peek()
-            .is_some_and(|&(std::cmp::Reverse(at), _)| at <= now)
-        {
-            let (_, kind) = timers.pop().expect("peeked");
-            let mut ctx = Context::new(now, id);
-            actor.on_timer(kind, &mut ctx);
-            halted = apply(&mut timers, &tx, id, ctx, now) || halted;
-            fired = true;
-            if halted {
-                break;
-            }
-        }
-        if halted {
-            break;
-        }
-        if fired {
-            let mut drained = 0;
-            while drained < 64 && !halted {
-                match inbox.try_recv() {
-                    Ok((from, msg)) => {
-                        let mut ctx = Context::new(now_ms(start), id);
-                        actor.on_message(from, msg, &mut ctx);
-                        halted = apply(&mut timers, &tx, id, ctx, now_ms(start)) || halted;
-                        drained += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-            if halted {
-                break;
-            }
-            continue;
-        }
-        let wait = timers
-            .peek()
-            .map(|&(std::cmp::Reverse(at), _)| Duration::from_millis(at.saturating_sub(now)))
-            .unwrap_or(Duration::from_millis(20))
-            .min(Duration::from_millis(20));
-        match inbox.recv_timeout(wait) {
-            Ok((from, msg)) => {
-                let mut ctx = Context::new(now_ms(start), id);
-                actor.on_message(from, msg, &mut ctx);
-                halted = apply(&mut timers, &tx, id, ctx, now_ms(start)) || halted;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    if halted {
-        tx.halted(id);
-    }
-    actor
-}
-
-/// Applies buffered context effects; returns whether the actor halted.
-fn apply<M>(
-    timers: &mut BinaryHeap<(std::cmp::Reverse<Time>, TimerKind)>,
-    tx: &SocketTx<M>,
-    id: ProcessId,
-    ctx: Context<M>,
-    now: Time,
-) -> bool
-where
-    M: Clone + Send + Labeled + Encode + 'static,
-{
-    let (sends, new_timers, halted) = ctx.into_effects();
-    for (to, msg) in sends {
-        tx.send(id, to, msg);
-    }
-    for (kind, delay) in new_timers {
-        timers.push((std::cmp::Reverse(now + delay), kind));
-    }
-    halted
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::{Actor, Context, TimerKind};
+    use crate::runtime::Runtime;
+    use crate::tamper::{Fate, Tamper};
     use crate::threaded::Board;
+    use crate::Time;
     use cupft_wire::WireError;
+    use std::time::Instant;
 
     #[derive(Debug, Clone, PartialEq, Eq)]
     enum Msg {
@@ -862,8 +430,12 @@ mod tests {
     }
 
     fn pingpong_runtime() -> (SocketRuntime<Msg>, Board<bool>) {
+        pingpong_runtime_with(SocketConfig::default())
+    }
+
+    fn pingpong_runtime_with(config: SocketConfig) -> (SocketRuntime<Msg>, Board<bool>) {
         let board = Board::new();
-        let mut rt: SocketRuntime<Msg> = SocketRuntime::new(SocketConfig::default()).expect("bind");
+        let mut rt: SocketRuntime<Msg> = SocketRuntime::new(config).expect("bind");
         rt.add_actor(Box::new(Node {
             id: ProcessId::new(1),
             peer: ProcessId::new(2),
@@ -914,8 +486,10 @@ mod tests {
                 }
             }
         }
-        let (mut rt, board) = pingpong_runtime();
-        rt.config.wall_timeout = Duration::from_millis(400);
+        let (mut rt, board) = pingpong_runtime_with(SocketConfig {
+            wall_timeout: Duration::from_millis(400),
+            ..SocketConfig::default()
+        });
         rt.set_tamper(Box::new(DropPings));
         let report = rt.run_until_stopped(&mut || !board.is_empty());
         assert!(!report.stopped);
@@ -1007,5 +581,41 @@ mod tests {
         assert!(report.stopped || report.all_halted);
         let initiator: &Node = a.actor_as(ProcessId::new(1)).expect("inspectable");
         assert!(initiator.got_reply);
+    }
+
+    #[test]
+    fn timers_fire_in_socket_runtime() {
+        struct TimerNode {
+            id: ProcessId,
+            fired: u32,
+        }
+        impl Actor<Msg> for TimerNode {
+            fn id(&self) -> ProcessId {
+                self.id
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+            fn on_start(&mut self, ctx: &mut Context<Msg>) {
+                ctx.set_timer(1, 10);
+            }
+            fn on_message(&mut self, _: ProcessId, _: Msg, _: &mut Context<Msg>) {}
+            fn on_timer(&mut self, _: TimerKind, ctx: &mut Context<Msg>) {
+                self.fired += 1;
+                if self.fired >= 3 {
+                    ctx.halt();
+                } else {
+                    ctx.set_timer(1, 10);
+                }
+            }
+        }
+        let mut rt: SocketRuntime<Msg> = SocketRuntime::new(SocketConfig::default()).expect("bind");
+        rt.add_actor(Box::new(TimerNode {
+            id: ProcessId::new(1),
+            fired: 0,
+        }));
+        let report = rt.run_to_completion();
+        assert!(report.all_halted);
+        assert_eq!(report.stats.timers_fired, 3);
     }
 }

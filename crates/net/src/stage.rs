@@ -11,9 +11,10 @@
 //!
 //! That contract is what makes the split runtime-agnostic:
 //!
-//! * the **threaded runtime** runs preflights on a real worker-stage pool
-//!   between the actor outboxes and the router plane, so crypto runs off
-//!   the protocol threads;
+//! * the **wall-clock runtimes** (threaded and socket) run the preflight
+//!   inline on the sending actor's thread, ahead of the send gate, so a
+//!   sender pays for the stateless work of what it sends and the shared
+//!   memo is warm before the receiver absorbs the message;
 //! * the **simulator** invokes the preflight *synchronously* at the
 //!   delivery event, immediately before `Actor::on_message`. No events
 //!   are injected and no ordering changes, so traces and fingerprints are
@@ -32,9 +33,9 @@ use cupft_graph::ProcessId;
 /// A stateless pre-delivery processing hook (see the [module docs](self)
 /// for the contract).
 ///
-/// `Send + Sync` because the threaded runtime shares one preflight across
-/// its stage workers; implementations keep their state in concurrent
-/// shared structures (or none at all).
+/// `Send + Sync` because the wall-clock runtimes share one preflight
+/// across every sending thread; implementations keep their state in
+/// concurrent shared structures (or none at all).
 pub trait Preflight<M>: Send + Sync {
     /// Processes `msg` before it is delivered to `to`.
     ///
@@ -46,17 +47,12 @@ pub trait Preflight<M>: Send + Sync {
     /// Whether this preflight has any work to do for `msg`. Must be a
     /// pure function of the message.
     ///
-    /// Runtimes use this to keep uninteresting traffic off the stage
-    /// entirely: the threaded runtime routes `wants == false` messages
-    /// straight to the router plane instead of through the sender's
-    /// sticky stage worker, so a chatty protocol only pays the stage hop
-    /// for the messages that carry stage work (e.g. `SETPDS` certificate
-    /// bundles, not `GETPDS` polls or consensus votes). The bypass
-    /// relaxes per-sender ordering *between* wanted and un-wanted
-    /// messages — order among each class is preserved, and a halt still
-    /// trails every send — which the [`Preflight`] contract already
-    /// permits: skipping or reordering stateless work can never change a
-    /// protocol decision. The default wants everything.
+    /// Runtimes skip the preflight for messages it does not want, so a
+    /// chatty protocol only pays the stage call for the messages that
+    /// carry stage work (e.g. `SETPDS` certificate bundles, not `GETPDS`
+    /// polls or consensus votes). Skipping is always safe: a preflight
+    /// may run zero times per message by contract. The default wants
+    /// everything.
     fn wants(&self, msg: &M) -> bool {
         let _ = msg;
         true

@@ -23,7 +23,7 @@ pub struct NetStats {
     /// payload that actually reached the delivery schedule.
     pub payload_dropped: u64,
     /// Payload units counted **at actual delivery to an actor** — once
-    /// per delivered message, regardless of how many shard hops or stage
+    /// per delivered message, regardless of how many hops or stage
     /// handoffs the (possibly `Arc`-shared, zero-copy) payload traveled
     /// through. The conservation law under reliable channels is
     /// `payload_delivered_units ≤ payload_units − payload_dropped`, with
@@ -82,13 +82,9 @@ impl NetStats {
     /// Folds another stats block into this one, summing every counter and
     /// per-label map.
     ///
-    /// This is how the sharded threaded router merges per-shard stats back
-    /// into the run's single `NetStats` surface: shards are merged in
-    /// shard-index order, so given the same per-shard outcomes the merged
-    /// totals are deterministic, and every aggregate (`messages_sent`,
-    /// `payload_units`, `by_label`, …) is conserved — the merge of N shard
-    /// stats equals what one router observing all N traffic streams would
-    /// have recorded.
+    /// Every aggregate (`messages_sent`, `payload_units`, `by_label`, …)
+    /// is conserved: the merge of two blocks equals what one observer of
+    /// both traffic streams would have recorded.
     pub fn merge(&mut self, other: &NetStats) {
         self.messages_sent += other.messages_sent;
         self.messages_delivered += other.messages_delivered;
@@ -172,7 +168,7 @@ mod tests {
         b.record_drop(7);
         b.messages_delivered = 1;
 
-        // Merging shard-by-shard equals one router seeing all traffic.
+        // Merging block by block equals one observer seeing all traffic.
         let mut reference = NetStats::default();
         reference.record_send("PING", 0);
         reference.record_send("SETPDS", 5);

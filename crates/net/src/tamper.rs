@@ -4,9 +4,9 @@
 //! delivery scheduling. It sees every message *once, at send time*, in the
 //! deterministic order the sending actor emitted it, and rules on its
 //! [`Fate`]: deliver normally, deliver with extra delay (reordering), or
-//! drop. Both substrates honor the same trait — install a tamper with
+//! drop. Every substrate honors the same trait — install a tamper with
 //! [`crate::Runtime::set_tamper`] and the identical adversarial schedule
-//! logic runs on the simulator and on OS threads.
+//! logic runs on the simulator, on OS threads, and over TCP.
 //!
 //! Division of labor with the other adversary layers:
 //!
@@ -26,12 +26,11 @@
 //! the call sequence; on the simulator the call sequence itself is
 //! deterministic, so seeded tampers replay exactly.
 //!
-//! On the threaded runtime's sharded router plane the tamper is
-//! serialized through a single dedicated shard: regardless of
-//! [`crate::ThreadedConfig::router_shards`], one `&mut` tamper state sees
-//! every message once, at send time, with each sender's emissions in
-//! order — so a `TamperSpec`'s observable semantics do not change with
-//! the shard count.
+//! On the wall-clock substrates (threaded and socket) the tamper runs on
+//! the sending actor's thread under the send gate: one `&mut` tamper
+//! state sees every message once, at send time, with each sender's
+//! emissions in program order — the same observable contract the
+//! simulator's deterministic call sequence provides.
 
 use cupft_graph::ProcessId;
 
@@ -43,7 +42,7 @@ pub enum Fate {
     /// Deliver under the substrate's normal delay policy.
     Deliver,
     /// Deliver, but add this many ticks (simulator) / milliseconds
-    /// (threaded runtime) on top of the policy delay.
+    /// (wall-clock runtimes) on top of the policy delay.
     Delay(Time),
     /// Never deliver. Counted in [`crate::NetStats::messages_dropped`].
     Drop,

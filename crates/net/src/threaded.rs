@@ -1,85 +1,38 @@
 //! OS-thread runtime: the same actors on real threads and channels.
 //!
-//! Each actor runs on its own thread with a crossbeam inbox; a **sharded
-//! router plane** applies randomized delivery delays. Messages are hashed
-//! by destination onto one of [`ThreadedConfig::router_shards`] router
-//! shards, each owning its own delay wheel, inbox channel, RNG stream,
-//! and [`NetStats`] block — the per-shard stats are merged
-//! deterministically (shard-index order) into the single `NetStats`
-//! surface the [`crate::Runtime`] trait reports, so callers see exactly
-//! the counters a single router would have recorded.
-//!
-//! With `router_shards = 1` the runtime runs the classic single-router
-//! loop on the driving thread — bit-compatible with the pre-sharding
-//! runtime. With more shards, Θ(n²) all-to-all traffic (Erdős–Rényi
-//! knowledge graphs) and hub-focused traffic (scale-free graphs) no
-//! longer funnel through one router thread.
-//!
-//! A [`Tamper`] layer, when installed, is serialized through a single
-//! dedicated shard (shard 0): every send is routed to it first, so the
-//! tamper keeps seeing each message once, at send time, in the order the
-//! sending actor emitted it, with one `&mut` state — its observable
-//! semantics are independent of the shard count. Post-disposition, the
-//! message is handed to its destination's shard for delay scheduling.
-//!
-//! A [`Preflight`] stage, when installed, runs on a pool of
-//! [`ThreadedConfig::verify_workers`] **stage worker** threads sitting
-//! between the actor outboxes and the router plane: stateless work
-//! (certificate verification, fingerprint computation) runs off the
-//! protocol threads before delivery. Workers are *sticky by sender*
-//! (`from % workers`), and an actor's halt notice travels through the same
-//! worker as its sends, so per-sender emission order — the property the
-//! tamper serialization and the shutdown stats drain rely on — is
-//! preserved for everything the stage touches. Messages the preflight
-//! [`Preflight::wants`] not (polling and consensus traffic, typically)
-//! bypass the pool and go straight to the router plane — on a busy box a
-//! stage worker competing with hundreds of actor threads must not become
-//! a second serialization point for traffic it has no work for. A halt
-//! still trails every send: bypassed sends were forwarded by the actor
-//! itself before it emitted the halt. When auto sizing resolves to a
-//! single worker (a one-core box), the stage degenerates to running the
-//! preflight inline on the sending actor's thread — the shared verdict
-//! memo needs no extra thread, and a pool of one would be a second
-//! serialization point, not a pipeline (an explicitly pinned
-//! `verify_workers = 1` still spawns its one real worker). With no
-//! preflight installed the pool does not exist and sends take exactly
-//! the unstaged path.
+//! [`ThreadedRuntime`] is the shared wall-clock runtime (`realtime.rs`)
+//! over the in-process channel transport: each actor runs on its own
+//! thread with a bounded inbox, and every message reaches its
+//! destination's inbox after a uniform random delay in
+//! `[1 ms, max_delay]` (plus any [`crate::Tamper`] extra), applied by the
+//! runtime's delay wheel.
 //!
 //! Real-time interleaving is inherently nondeterministic — use
 //! [`crate::sim::Simulation`] for reproducible experiments and this
 //! runtime for wall-clock validation that the protocols are not simulator
 //! artifacts.
 
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use cupft_graph::ProcessId;
-use cupft_obs::{Histogram, Recorder};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-use crate::actor::{Actor, Context, Labeled, TimerKind};
-use crate::runtime::{Runtime, RuntimeReport};
-use crate::stage::Preflight;
+use crate::actor::{Actor, Labeled};
+use crate::realtime::{Bounds, Link, Realtime, Sink, Transport};
+use crate::runtime::{PeerAddr, Runtime};
 use crate::stats::NetStats;
-use crate::tamper::{Fate, Tamper};
-use crate::Time;
 
-/// Seed stride separating the per-shard delay-RNG streams (shard 0 keeps
-/// the configured seed unchanged, matching the single-router stream).
-const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Shortest artificial delivery delay of the channel transport.
+pub const MIN_DELAY: Duration = Duration::from_millis(1);
 
 /// Configuration for the threaded runtime.
 #[derive(Debug, Clone)]
 pub struct ThreadedConfig {
-    /// Minimum artificial delivery delay.
-    pub min_delay: Duration,
-    /// Maximum artificial delivery delay.
+    /// Maximum artificial delivery delay (the minimum is [`MIN_DELAY`]).
     pub max_delay: Duration,
     /// Wall-clock budget for the run.
     pub wall_timeout: Duration,
@@ -90,62 +43,75 @@ pub struct ThreadedConfig {
     /// where the caller detects goal completion out of band, e.g. via a
     /// [`Board`]).
     pub stop: Option<Arc<AtomicBool>>,
-    /// Number of router shards the delivery plane runs on.
-    ///
-    /// `0` (the default) resolves to `min(available cores, 4)`. `1` runs
-    /// the classic single-router loop on the driving thread —
-    /// bit-compatible with the pre-sharding runtime. Each shard owns its
-    /// own delay wheel, RNG stream (shard 0 keeps `seed` exactly), and
-    /// [`NetStats`] block; per-shard stats are merged in shard-index
-    /// order into the reported totals.
-    pub router_shards: usize,
-    /// Number of stage-worker threads running the installed
-    /// [`Preflight`] between the actor outboxes and the router plane.
-    ///
-    /// `0` (the default) sizes the pool off the router-shard
-    /// auto-detection ([`Self::effective_router_shards`]); when that
-    /// resolves to a single worker (a one-core box) the stage runs
-    /// inline on the sending actors' threads instead of spawning a
-    /// pool of one. The pool only exists while a preflight is
-    /// installed — without one, sends take the unstaged path regardless
-    /// of this setting.
-    pub verify_workers: usize,
 }
 
 impl Default for ThreadedConfig {
     fn default() -> Self {
         ThreadedConfig {
-            min_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(10),
             wall_timeout: Duration::from_secs(10),
             seed: 0,
             stop: None,
-            router_shards: 0,
-            verify_workers: 0,
         }
     }
 }
 
-impl ThreadedConfig {
-    /// The shard count this configuration resolves to: `router_shards`,
-    /// or `min(available cores, 4)` when left at the `0` auto default.
-    pub fn effective_router_shards(&self) -> usize {
-        match self.router_shards {
-            0 => std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(4),
-            n => n,
+/// The in-process channel transport: cleared messages go straight into
+/// the destination actor's inbox.
+#[derive(Debug, Clone)]
+pub struct Channel {
+    max_delay: Duration,
+}
+
+impl<M: Labeled + Send + 'static> Transport<M> for Channel {
+    fn name(&self) -> &'static str {
+        "threaded"
+    }
+
+    fn jitter_ms(&self) -> RangeInclusive<u64> {
+        let lo = MIN_DELAY.as_millis() as u64;
+        lo..=(self.max_delay.as_millis() as u64).max(lo)
+    }
+
+    fn open(&mut self, sink: Arc<Sink<M>>, _: Arc<AtomicBool>) -> Arc<dyn Link<M>> {
+        sink
+    }
+
+    /// Channel substrates cannot host external peers: a (redundant)
+    /// local address for a registered actor is accepted, anything else
+    /// panics, so a driver wiring a distributed topology against this
+    /// substrate fails loudly instead of silently black-holing sends.
+    fn register_peer(&mut self, id: ProcessId, addr: PeerAddr, local: bool) {
+        match addr {
+            PeerAddr::Local(peer) if peer == id && local => {}
+            _ => panic!("threaded runtime cannot register external peer {id} at {addr}"),
         }
     }
 
-    /// The stage-pool size this configuration resolves to:
-    /// `verify_workers`, or the router-shard auto-detection when left at
-    /// the `0` default.
-    pub fn effective_verify_workers(&self) -> usize {
-        match self.verify_workers {
-            0 => self.effective_router_shards(),
-            n => n,
-        }
+    fn addr_of(&self, id: ProcessId, local: bool) -> Option<PeerAddr> {
+        local.then_some(PeerAddr::Local(id))
+    }
+}
+
+/// The OS-thread [`Runtime`]: each actor on its own thread, every message
+/// delayed by a uniform random `[1 ms, max_delay]` on its way to the
+/// destination inbox. See `realtime.rs` for the shared loop and
+/// send path.
+pub type ThreadedRuntime<M> = Realtime<M, Channel>;
+
+impl<M> Realtime<M, Channel> {
+    /// Creates a runtime with no actors.
+    pub fn new(config: ThreadedConfig) -> Self {
+        Realtime::with_transport(
+            Channel {
+                max_delay: config.max_delay,
+            },
+            Bounds {
+                wall_timeout: config.wall_timeout,
+                stop: config.stop,
+                seed: config.seed,
+            },
+        )
     }
 }
 
@@ -153,8 +119,7 @@ impl ThreadedConfig {
 pub struct ThreadedReport<M> {
     /// The actors, keyed by ID, in their final states.
     pub actors: BTreeMap<ProcessId, Box<dyn Actor<M>>>,
-    /// Network statistics observed by the router plane (merged across
-    /// shards).
+    /// Network statistics of the run.
     pub stats: NetStats,
     /// Whether every actor halted before the wall timeout.
     pub all_halted: bool,
@@ -173,574 +138,13 @@ impl<M> std::fmt::Debug for ThreadedReport<M> {
     }
 }
 
-enum RouterMsg<M> {
-    Send {
-        from: ProcessId,
-        to: ProcessId,
-        msg: M,
-        label: &'static str,
-    },
-    Halted(ProcessId),
-}
-
-/// A message on a router shard's channel.
-enum ShardMsg<M> {
-    /// A fresh send from an actor (or, with a tamper installed, the whole
-    /// flow arriving at the tamper shard): record stats, consult the
-    /// tamper, then schedule or forward.
-    Send {
-        from: ProcessId,
-        to: ProcessId,
-        msg: M,
-        label: &'static str,
-    },
-    /// A post-tamper handoff from the tamper shard to the destination's
-    /// shard: stats and disposition already happened, only delay
-    /// scheduling remains.
-    Forward {
-        from: ProcessId,
-        to: ProcessId,
-        msg: M,
-        extra: Duration,
-    },
-}
-
-/// A message on a stage worker's channel: an actor's send awaiting its
-/// preflight, or the actor's halt notice riding the same sticky worker so
-/// it cannot overtake the sends emitted before it.
-enum StageMsg<M> {
-    Send {
-        from: ProcessId,
-        to: ProcessId,
-        msg: M,
-        /// When the send entered the worker's queue — the stage
-        /// queue-wait histogram is `recv time − enqueued` (wall domain).
-        enqueued: Instant,
-    },
-    Halted(ProcessId),
-}
-
-/// The shard a destination's deliveries are scheduled on.
-fn shard_of(to: ProcessId, shard_count: usize) -> usize {
-    (to.raw() as usize) % shard_count
-}
-
-/// The stage worker a sender's traffic is serialized through.
-fn worker_of(from: ProcessId, worker_count: usize) -> usize {
-    (from.raw() as usize) % worker_count
-}
-
-/// The actor-side handle onto the router plane: routes sends to the right
-/// shard (or the single router) and halt notices to the coordinator.
-enum Outbox<M> {
-    /// The classic single-router channel.
-    Single(Sender<RouterMsg<M>>),
-    /// The sharded plane: destination-hashed shard channels, an optional
-    /// sticky tamper shard every send is serialized through, and the
-    /// coordinator's halt channel.
-    Sharded {
-        shards: Arc<Vec<Sender<ShardMsg<M>>>>,
-        tamper_shard: Option<usize>,
-        halt: Sender<ProcessId>,
-    },
-    /// The staged plane: sends the preflight [`Preflight::wants`] flow
-    /// through the sender's sticky stage worker (which runs the preflight,
-    /// then forwards on the wrapped unstaged outbox); everything else goes
-    /// straight to the wrapped outbox, so uninteresting traffic never pays
-    /// the stage hop. Halts ride the sticky worker, so they cannot
-    /// overtake any staged send, and every bypassed send was already
-    /// forwarded when the halt was emitted.
-    Staged {
-        workers: Arc<Vec<Sender<StageMsg<M>>>>,
-        inner: Box<Outbox<M>>,
-        preflight: Arc<dyn Preflight<M>>,
-    },
-    /// The degenerate stage: the preflight runs on the sending actor's
-    /// thread immediately before the send enters the router plane. The
-    /// auto policy picks this over a worker pool when sizing resolves to
-    /// a single worker (a one-core box): the shared verdict memo needs no
-    /// extra thread to do its job, and a pool of one competing with every
-    /// actor thread for the same core is a serialization point, not a
-    /// pipeline. Per-sender emission order is exactly the unstaged one.
-    Inline {
-        inner: Box<Outbox<M>>,
-        preflight: Arc<dyn Preflight<M>>,
-        recorder: Option<Arc<Recorder>>,
-    },
-}
-
-impl<M> Clone for Outbox<M> {
-    fn clone(&self) -> Self {
-        match self {
-            Outbox::Single(tx) => Outbox::Single(tx.clone()),
-            Outbox::Sharded {
-                shards,
-                tamper_shard,
-                halt,
-            } => Outbox::Sharded {
-                shards: shards.clone(),
-                tamper_shard: *tamper_shard,
-                halt: halt.clone(),
-            },
-            Outbox::Staged {
-                workers,
-                inner,
-                preflight,
-            } => Outbox::Staged {
-                workers: workers.clone(),
-                inner: inner.clone(),
-                preflight: preflight.clone(),
-            },
-            Outbox::Inline {
-                inner,
-                preflight,
-                recorder,
-            } => Outbox::Inline {
-                inner: inner.clone(),
-                preflight: preflight.clone(),
-                recorder: recorder.clone(),
-            },
-        }
-    }
-}
-
-impl<M: Labeled> Outbox<M> {
-    fn send(&self, from: ProcessId, to: ProcessId, msg: M) {
-        let label = msg.label();
-        match self {
-            Outbox::Single(tx) => {
-                let _ = tx.send(RouterMsg::Send {
-                    from,
-                    to,
-                    msg,
-                    label,
-                });
-            }
-            Outbox::Sharded {
-                shards,
-                tamper_shard,
-                ..
-            } => {
-                // With a tamper installed every send flows through the
-                // tamper shard first, preserving per-sender emission order
-                // at the single tamper state.
-                let idx = tamper_shard.unwrap_or_else(|| shard_of(to, shards.len()));
-                let _ = shards[idx].send(ShardMsg::Send {
-                    from,
-                    to,
-                    msg,
-                    label,
-                });
-            }
-            Outbox::Staged {
-                workers,
-                inner,
-                preflight,
-            } => {
-                if preflight.wants(&msg) {
-                    let idx = worker_of(from, workers.len());
-                    let _ = workers[idx].send(StageMsg::Send {
-                        from,
-                        to,
-                        msg,
-                        enqueued: Instant::now(),
-                    });
-                } else {
-                    inner.send(from, to, msg);
-                }
-            }
-            Outbox::Inline {
-                inner,
-                preflight,
-                recorder,
-            } => {
-                if preflight.wants(&msg) {
-                    run_preflight(preflight.as_ref(), recorder, from, to, &msg, None);
-                }
-                inner.send(from, to, msg);
-            }
-        }
-    }
-
-    fn halted(&self, id: ProcessId) {
-        match self {
-            Outbox::Single(tx) => {
-                let _ = tx.send(RouterMsg::Halted(id));
-            }
-            Outbox::Sharded { halt, .. } => {
-                let _ = halt.send(id);
-            }
-            Outbox::Staged { workers, .. } => {
-                // Through the sender's own sticky worker: by the time the
-                // halt reaches the router plane (or coordinator), every
-                // send this actor emitted before halting already has —
-                // staged sends by the worker's FIFO, bypassed sends
-                // because the actor forwarded them directly before
-                // emitting the halt.
-                let idx = worker_of(id, workers.len());
-                let _ = workers[idx].send(StageMsg::Halted(id));
-            }
-            Outbox::Inline { inner, .. } => inner.halted(id),
-        }
-    }
-}
-
-/// Runs the preflight once, recording queue-wait and service-time
-/// histograms (wall microseconds) when a recorder is installed.
-/// `enqueued = None` is the inline degenerate stage: queue wait is zero
-/// by construction, recorded anyway so both stage shapes produce the
-/// same histogram set.
-fn run_preflight<M>(
-    preflight: &dyn Preflight<M>,
-    recorder: &Option<Arc<Recorder>>,
-    from: ProcessId,
-    to: ProcessId,
-    msg: &M,
-    enqueued: Option<Instant>,
-) {
-    match recorder {
-        Some(rec) => {
-            let wait = enqueued.map_or(0, |at| at.elapsed().as_micros() as u64);
-            rec.hist_record("stage_queue_wait_us", wait);
-            let served = Instant::now();
-            preflight.preflight(from, to, msg);
-            rec.hist_record("stage_service_us", served.elapsed().as_micros() as u64);
-            rec.counter_add("stage_bundles", 1);
-        }
-        None => preflight.preflight(from, to, msg),
-    }
-}
-
-/// One stage worker's loop: run the preflight on each send, then forward
-/// it (and halt notices, in order) on the wrapped unstaged outbox. Exits
-/// when every actor sharing the worker has dropped its sender.
-fn stage_loop<M>(
-    rx: Receiver<StageMsg<M>>,
-    inner: Outbox<M>,
-    preflight: Arc<dyn Preflight<M>>,
-    recorder: Option<Arc<Recorder>>,
-) where
-    M: Clone + Send + Labeled + 'static,
-{
-    while let Ok(stage_msg) = rx.recv() {
-        match stage_msg {
-            StageMsg::Send {
-                from,
-                to,
-                msg,
-                enqueued,
-            } => {
-                run_preflight(
-                    preflight.as_ref(),
-                    &recorder,
-                    from,
-                    to,
-                    &msg,
-                    Some(enqueued),
-                );
-                inner.send(from, to, msg);
-            }
-            StageMsg::Halted(id) => inner.halted(id),
-        }
-    }
-}
-
-/// Builds the actor-facing outbox for an installed preflight: a worker
-/// pool when there is parallelism to exploit, the inline degenerate stage
-/// when auto sizing resolves to a single worker (an explicitly pinned
-/// `verify_workers = 1` still gets its one real worker — tests use that
-/// to exercise the pool machinery deterministically).
-fn stage_front<M>(
-    inner: &Outbox<M>,
-    preflight: Arc<dyn Preflight<M>>,
-    config: &ThreadedConfig,
-    recorder: Option<Arc<Recorder>>,
-) -> (Outbox<M>, Vec<thread::JoinHandle<()>>)
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    let workers = config.effective_verify_workers().max(1);
-    if config.verify_workers == 0 && workers <= 1 {
-        (
-            Outbox::Inline {
-                inner: Box::new(inner.clone()),
-                preflight,
-                recorder,
-            },
-            Vec::new(),
-        )
-    } else {
-        spawn_stage_pool(inner, preflight, workers, recorder)
-    }
-}
-
-/// Spawns the stage-worker pool in front of `inner`, returning the staged
-/// actor-facing outbox and the worker join handles. Callers drop their
-/// actor-side outbox clones to retire the pool.
-fn spawn_stage_pool<M>(
-    inner: &Outbox<M>,
-    preflight: Arc<dyn Preflight<M>>,
-    worker_count: usize,
-    recorder: Option<Arc<Recorder>>,
-) -> (Outbox<M>, Vec<thread::JoinHandle<()>>)
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    let mut worker_txs = Vec::with_capacity(worker_count);
-    let mut handles = Vec::with_capacity(worker_count);
-    for _ in 0..worker_count {
-        let (tx, rx) = unbounded::<StageMsg<M>>();
-        worker_txs.push(tx);
-        let inner = inner.clone();
-        let preflight = preflight.clone();
-        let recorder = recorder.clone();
-        handles.push(thread::spawn(move || {
-            stage_loop(rx, inner, preflight, recorder)
-        }));
-    }
-    (
-        Outbox::Staged {
-            workers: Arc::new(worker_txs),
-            inner: Box::new(inner.clone()),
-            preflight,
-        },
-        handles,
-    )
-}
-
-/// Router-plane observability accumulators, kept local to each router
-/// loop (no synchronization on the hot path) and merged deterministically
-/// — shard-index order — into the run's [`Recorder`] after the loop
-/// exits.
-#[derive(Default)]
-struct RouterObs {
-    /// Inbox channel depth sampled once per loop iteration.
-    inbox_depth: Histogram,
-    /// Delay-wheel (pending heap) size sampled once per loop iteration.
-    wheel_depth: Histogram,
-    /// Deliveries re-pushed because the destination inbox was full.
-    deferrals: u64,
-}
-
-impl RouterObs {
-    /// Folds this accumulator into `recorder` under the router metric
-    /// names. Histogram merge is exact and commutative; callers still
-    /// merge in shard-index order so the event of merging is itself
-    /// deterministic.
-    fn merge_into(&self, recorder: &Recorder) {
-        recorder.merge_hist("router_inbox_depth", &self.inbox_depth);
-        recorder.merge_hist("router_wheel_depth", &self.wheel_depth);
-        recorder.counter_add("router_deferrals", self.deferrals);
-    }
-}
-
-struct Pending<M> {
-    due: Instant,
-    seq: u64,
-    from: ProcessId,
-    to: ProcessId,
-    msg: M,
-}
-
-impl<M> PartialEq for Pending<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl<M> Eq for Pending<M> {}
-impl<M> PartialOrd for Pending<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Pending<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // reversed: BinaryHeap is a max-heap, we want earliest due first
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
-
-/// The OS-thread [`Runtime`]: each actor on its own thread, a sharded
-/// router plane applying randomized delivery delays.
-///
-/// Lifecycle mirrors the trait contract: [`Runtime::add_actor`] before the
-/// run, one [`Runtime::run_until_stopped`] (actors are consumed by their
-/// threads and collected back at shutdown), then post-run inspection via
-/// [`Runtime::actor_as`]. A second run request returns the recorded report
-/// unchanged.
-pub struct ThreadedRuntime<M> {
-    config: ThreadedConfig,
-    pending: Vec<Box<dyn Actor<M>>>,
-    finished: BTreeMap<ProcessId, Box<dyn Actor<M>>>,
-    stats: NetStats,
-    last_report: Option<RuntimeReport>,
-    elapsed: Duration,
-    tamper: Option<Box<dyn Tamper<M>>>,
-    preflight: Option<Arc<dyn Preflight<M>>>,
-    recorder: Option<Arc<Recorder>>,
-}
-
-impl<M> ThreadedRuntime<M> {
-    /// Creates a runtime with no actors.
-    pub fn new(config: ThreadedConfig) -> Self {
-        ThreadedRuntime {
-            config,
-            pending: Vec::new(),
-            finished: BTreeMap::new(),
-            stats: NetStats::default(),
-            last_report: None,
-            elapsed: Duration::ZERO,
-            tamper: None,
-            preflight: None,
-            recorder: None,
-        }
-    }
-
-    /// Installs a message-interception layer (see [`crate::tamper`]). The
-    /// tamper runs serialized on one router shard; `now` is elapsed
-    /// milliseconds.
-    pub fn set_tamper(&mut self, tamper: Box<dyn Tamper<M>>) {
-        assert!(
-            self.last_report.is_none(),
-            "ThreadedRuntime tamper must be installed before the run"
-        );
-        self.tamper = Some(tamper);
-    }
-
-    /// Installs a stateless pre-delivery stage (see [`crate::stage`]),
-    /// executed by a pool of [`ThreadedConfig::verify_workers`] worker
-    /// threads between the actor outboxes and the router plane.
-    pub fn set_preflight(&mut self, preflight: Arc<dyn Preflight<M>>) {
-        assert!(
-            self.last_report.is_none(),
-            "ThreadedRuntime preflight must be installed before the run"
-        );
-        self.preflight = Some(preflight);
-    }
-
-    /// Installs an observability recorder (see [`cupft_obs`]). The
-    /// recorder stays in the **wall** clock domain: stage and router
-    /// metrics are recorded in wall microseconds / raw depths, so a
-    /// threaded obs report is a profile, not a deterministic trace —
-    /// use the simulator for byte-reproducible observation.
-    pub fn set_recorder(&mut self, recorder: Arc<Recorder>) {
-        assert!(
-            self.last_report.is_none(),
-            "ThreadedRuntime recorder must be installed before the run"
-        );
-        self.recorder = Some(recorder);
-    }
-
-    /// Wall-clock duration of the completed run.
-    pub fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
-
-    /// Consumes the runtime, returning the actors in their final states.
-    pub fn into_actors(self) -> BTreeMap<ProcessId, Box<dyn Actor<M>>> {
-        self.finished
-    }
-}
-
-impl<M> Runtime<M> for ThreadedRuntime<M>
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn add_actor(&mut self, actor: Box<dyn Actor<M>>) {
-        assert!(
-            self.last_report.is_none(),
-            "ThreadedRuntime actors must be registered before the run"
-        );
-        let id = actor.id();
-        assert!(
-            self.pending.iter().all(|a| a.id() != id),
-            "duplicate actor {id}"
-        );
-        self.pending.push(actor);
-    }
-
-    fn set_tamper(&mut self, tamper: Box<dyn Tamper<M>>) {
-        ThreadedRuntime::set_tamper(self, tamper);
-    }
-
-    fn set_preflight(&mut self, preflight: Arc<dyn Preflight<M>>) {
-        ThreadedRuntime::set_preflight(self, preflight);
-    }
-
-    fn set_recorder(&mut self, recorder: Arc<Recorder>) {
-        ThreadedRuntime::set_recorder(self, recorder);
-    }
-
-    fn run_until_stopped(&mut self, stop: &mut dyn FnMut() -> bool) -> RuntimeReport {
-        // Already ran: report the recorded outcome unchanged.
-        if let Some(report) = &self.last_report {
-            return report.clone();
-        }
-        let actors = std::mem::take(&mut self.pending);
-        let mut tamper = self.tamper.take();
-        let preflight = self.preflight.take();
-        let recorder = self.recorder.clone();
-        let run = run_router(
-            actors,
-            &self.config,
-            stop,
-            &mut tamper,
-            preflight,
-            recorder.clone(),
-        );
-        self.finished.extend(run.actors);
-        self.stats = run.stats.clone();
-        self.elapsed = run.elapsed;
-        let obs = recorder.map(|rec| {
-            rec.gauge_set(
-                "router_shards",
-                self.config.effective_router_shards() as u64,
-            );
-            rec.gauge_set(
-                "verify_workers",
-                self.config.effective_verify_workers() as u64,
-            );
-            rec.snapshot()
-        });
-        let report = RuntimeReport {
-            all_halted: run.all_halted,
-            stopped: run.stopped,
-            end_time: run.elapsed.as_millis() as Time,
-            events: run.stats.messages_delivered,
-            stats: run.stats,
-            obs,
-        };
-        self.last_report = Some(report.clone());
-        report
-    }
-
-    fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    fn actor_ids(&self) -> Vec<ProcessId> {
-        let mut ids: Vec<ProcessId> = self.finished.keys().copied().collect();
-        ids.extend(self.pending.iter().map(|a| a.id()));
-        ids.sort_unstable();
-        ids
-    }
-
-    fn actor_dyn(&self, id: ProcessId) -> Option<&dyn Actor<M>> {
-        self.finished.get(&id).map(|b| b.as_ref())
-    }
-}
-
 /// Runs `actors` on OS threads until all halt or the wall timeout expires.
 ///
 /// Thin wrapper over [`ThreadedRuntime`] retained for callers that want
 /// the actors back by value.
 pub fn run_threaded<M>(actors: Vec<Box<dyn Actor<M>>>, config: ThreadedConfig) -> ThreadedReport<M>
 where
-    M: Clone + Send + Labeled + 'static,
+    M: Send + Labeled + 'static,
 {
     let mut runtime = ThreadedRuntime::new(config);
     for actor in actors {
@@ -754,689 +158,6 @@ where
         all_halted: report.all_halted,
         elapsed,
     }
-}
-
-struct RouterRun<M> {
-    actors: BTreeMap<ProcessId, Box<dyn Actor<M>>>,
-    stats: NetStats,
-    all_halted: bool,
-    stopped: bool,
-    elapsed: Duration,
-}
-
-/// Spawns actor threads and drives the router plane until all actors
-/// halt, `stop` (or the config's external stop flag) fires, or the wall
-/// timeout expires. Dispatches on the effective shard count: one shard
-/// runs the classic single-router loop on the driving thread, more run
-/// [`run_router_sharded`].
-fn run_router<M>(
-    actors: Vec<Box<dyn Actor<M>>>,
-    config: &ThreadedConfig,
-    stop: &mut dyn FnMut() -> bool,
-    tamper: &mut Option<Box<dyn Tamper<M>>>,
-    preflight: Option<Arc<dyn Preflight<M>>>,
-    recorder: Option<Arc<Recorder>>,
-) -> RouterRun<M>
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    if config.effective_router_shards() <= 1 {
-        run_router_single(actors, config, stop, tamper, preflight, recorder)
-    } else {
-        run_router_sharded(actors, config, stop, tamper, preflight, recorder)
-    }
-}
-
-/// The classic single-router loop (`router_shards = 1`): delay wheel,
-/// stats, tamper, and halt tracking all on the driving thread.
-fn run_router_single<M>(
-    actors: Vec<Box<dyn Actor<M>>>,
-    config: &ThreadedConfig,
-    stop: &mut dyn FnMut() -> bool,
-    tamper: &mut Option<Box<dyn Tamper<M>>>,
-    preflight: Option<Arc<dyn Preflight<M>>>,
-    recorder: Option<Arc<Recorder>>,
-) -> RouterRun<M>
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    let start = Instant::now();
-    let (router_tx, router_rx) = unbounded::<RouterMsg<M>>();
-    let shutdown = Arc::new(AtomicBool::new(false));
-
-    // With a preflight installed, actor traffic flows through the stage
-    // pool; sticky workers feed the same FIFO router channel, so each
-    // sender's sends still precede its halt there.
-    let unstaged = Outbox::Single(router_tx.clone());
-    let (actor_outbox, stage_handles) = match preflight {
-        Some(stage) => stage_front(&unstaged, stage, config, recorder.clone()),
-        None => (unstaged.clone(), Vec::new()),
-    };
-    drop(unstaged);
-
-    // Inbox per actor.
-    let mut inboxes: BTreeMap<ProcessId, Sender<(ProcessId, M)>> = BTreeMap::new();
-    let mut handles = Vec::new();
-    let ids: Vec<ProcessId> = actors.iter().map(|a| a.id()).collect();
-
-    for actor in actors {
-        let id = actor.id();
-        let (tx, rx) = bounded::<(ProcessId, M)>(4096);
-        inboxes.insert(id, tx);
-        let outbox = actor_outbox.clone();
-        let shutdown = shutdown.clone();
-        handles.push(thread::spawn(move || {
-            actor_loop(actor, rx, outbox, shutdown, start)
-        }));
-    }
-    drop(actor_outbox);
-    drop(router_tx);
-
-    // Router loop on this thread.
-    let mut stats = NetStats::default();
-    let mut heap: BinaryHeap<Pending<M>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut halted: BTreeMap<ProcessId, bool> = ids.iter().map(|&i| (i, false)).collect();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let deadline = start + config.wall_timeout;
-    let mut stopped = false;
-    let mut obs = RouterObs::default();
-
-    loop {
-        if halted.values().all(|&h| h) {
-            break;
-        }
-        if stop()
-            || config
-                .stop
-                .as_ref()
-                .is_some_and(|s| s.load(Ordering::SeqCst))
-        {
-            stopped = true;
-            break;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        if recorder.is_some() {
-            obs.inbox_depth.record(router_rx.len() as u64);
-            obs.wheel_depth.record(heap.len() as u64);
-        }
-        // Deliver everything due.
-        deliver_due(
-            &mut heap,
-            &mut seq,
-            &inboxes,
-            &mut stats,
-            now,
-            config,
-            &mut obs.deferrals,
-        );
-        let wait = heap
-            .peek()
-            .map(|p| p.due.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(5))
-            .min(deadline.saturating_duration_since(now))
-            .min(Duration::from_millis(5));
-        match router_rx.recv_timeout(wait) {
-            Ok(RouterMsg::Send {
-                from,
-                to,
-                msg,
-                label,
-            }) => {
-                let payload = msg.payload_units();
-                stats.record_send(label, payload);
-                let mut tampered_extra = Duration::ZERO;
-                if let Some(t) = tamper.as_mut() {
-                    match t.disposition(from, to, label, start.elapsed().as_millis() as Time) {
-                        Fate::Deliver => {}
-                        Fate::Delay(ms) => tampered_extra = Duration::from_millis(ms),
-                        Fate::Drop => {
-                            stats.record_drop(payload);
-                            continue;
-                        }
-                    }
-                }
-                let spread = config
-                    .max_delay
-                    .saturating_sub(config.min_delay)
-                    .as_millis() as u64;
-                let extra = if spread == 0 {
-                    0
-                } else {
-                    rng.random_range(0..=spread)
-                };
-                let due = Instant::now()
-                    + config.min_delay
-                    + Duration::from_millis(extra)
-                    + tampered_extra;
-                seq += 1;
-                heap.push(Pending {
-                    due,
-                    seq,
-                    from,
-                    to,
-                    msg,
-                });
-            }
-            Ok(RouterMsg::Halted(id)) => {
-                halted.insert(id, true);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-
-    let all_halted = halted.values().all(|&h| h);
-    shutdown.store(true, Ordering::SeqCst);
-    drop(inboxes);
-    let mut out = BTreeMap::new();
-    for handle in handles {
-        let actor = handle.join().expect("actor thread panicked");
-        out.insert(actor.id(), actor);
-    }
-    // Stage workers exit once every actor has dropped its staged outbox.
-    for handle in stage_handles {
-        handle.join().expect("stage worker panicked");
-    }
-    if let Some(rec) = &recorder {
-        obs.merge_into(rec);
-    }
-    RouterRun {
-        actors: out,
-        stats,
-        all_halted,
-        stopped,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Pops every due entry off a shard's delay wheel and delivers it into the
-/// destination inbox. Channels are reliable (Section II-A): a full inbox
-/// defers delivery, never drops — the entry is re-pushed strictly later
-/// than `now` so this loop terminates; the wall timeout bounds total
-/// retrying. A disconnected receiver means the actor halted — dropping
-/// mirrors the simulator discarding events for halted actors.
-fn deliver_due<M: Labeled>(
-    heap: &mut BinaryHeap<Pending<M>>,
-    seq: &mut u64,
-    inboxes: &BTreeMap<ProcessId, Sender<(ProcessId, M)>>,
-    stats: &mut NetStats,
-    now: Instant,
-    config: &ThreadedConfig,
-    deferred: &mut u64,
-) {
-    while heap.peek().is_some_and(|p| p.due <= now) {
-        let p = heap.pop().expect("peeked");
-        if let Some(tx) = inboxes.get(&p.to) {
-            let payload = p.msg.payload_units();
-            match tx.try_send((p.from, p.msg)) {
-                Ok(()) => {
-                    stats.messages_delivered += 1;
-                    stats.record_delivery_payload(payload);
-                }
-                Err(TrySendError::Full((from, msg))) => {
-                    *deferred += 1;
-                    *seq += 1;
-                    heap.push(Pending {
-                        due: now + config.min_delay.max(Duration::from_millis(1)),
-                        seq: *seq,
-                        from,
-                        to: p.to,
-                        msg,
-                    });
-                }
-                Err(TrySendError::Disconnected(_)) => {}
-            }
-        }
-    }
-}
-
-/// Everything one router shard needs to run: its channel, the full shard
-/// sender table (for post-tamper forwarding), the actor inboxes, and —
-/// on the tamper shard only — the tamper itself.
-struct ShardTask<M> {
-    index: usize,
-    rx: Receiver<ShardMsg<M>>,
-    peers: Vec<Sender<ShardMsg<M>>>,
-    inboxes: BTreeMap<ProcessId, Sender<(ProcessId, M)>>,
-    tamper: Option<Box<dyn Tamper<M>>>,
-}
-
-/// One router shard's loop: schedule sends through the delay wheel,
-/// deliver due messages into inboxes, run the tamper (tamper shard only)
-/// and forward post-disposition messages to their destination shard.
-/// Returns the shard's private [`NetStats`] and observability
-/// accumulators for the deterministic (shard-index order) merge.
-/// `observe` gates the per-iteration depth sampling so unobserved runs
-/// pay nothing beyond a branch.
-fn shard_loop<M>(
-    task: ShardTask<M>,
-    config: &ThreadedConfig,
-    shutdown: &AtomicBool,
-    start: Instant,
-    observe: bool,
-) -> (NetStats, RouterObs)
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    let ShardTask {
-        index,
-        rx,
-        peers,
-        inboxes,
-        mut tamper,
-    } = task;
-    let shard_count = peers.len();
-    let mut stats = NetStats::default();
-    let mut heap: BinaryHeap<Pending<M>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    // Shard 0 keeps the configured seed; the others take decorrelated
-    // streams along a golden-ratio stride.
-    let mut rng = StdRng::seed_from_u64(
-        config
-            .seed
-            .wrapping_add((index as u64).wrapping_mul(SHARD_SEED_STRIDE)),
-    );
-    let spread = config
-        .max_delay
-        .saturating_sub(config.min_delay)
-        .as_millis() as u64;
-    let deadline = start + config.wall_timeout;
-    let mut obs = RouterObs::default();
-
-    let schedule = |heap: &mut BinaryHeap<Pending<M>>,
-                    seq: &mut u64,
-                    rng: &mut StdRng,
-                    from: ProcessId,
-                    to: ProcessId,
-                    msg: M,
-                    extra: Duration| {
-        let jitter = if spread == 0 {
-            0
-        } else {
-            rng.random_range(0..=spread)
-        };
-        *seq += 1;
-        heap.push(Pending {
-            due: Instant::now() + config.min_delay + Duration::from_millis(jitter) + extra,
-            seq: *seq,
-            from,
-            to,
-            msg,
-        });
-    };
-
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            // Drain, then exit. In the single-router loop an actor's
-            // final sends are recorded before its Halted is even
-            // observable (same FIFO channel); here halts bypass the
-            // shard channels, so the coordinator can raise shutdown
-            // while trailing sends still sit in `rx`. Account for them —
-            // record_send, tamper disposition, drop counting — so the
-            // merged stats of an all-halted run equal what the single
-            // router would have recorded. Nothing more gets *delivered*
-            // (the run is over; pending heap entries are discarded on
-            // either path), so only the accounting runs.
-            while let Ok(shard_msg) = rx.try_recv() {
-                // Forwards were already recorded by the tamper shard.
-                let ShardMsg::Send {
-                    from,
-                    to,
-                    msg,
-                    label,
-                } = shard_msg
-                else {
-                    continue;
-                };
-                let payload = msg.payload_units();
-                stats.record_send(label, payload);
-                if let Some(t) = tamper.as_mut() {
-                    if let Fate::Drop =
-                        t.disposition(from, to, label, start.elapsed().as_millis() as Time)
-                    {
-                        stats.record_drop(payload);
-                    }
-                }
-            }
-            break;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        if observe {
-            obs.inbox_depth.record(rx.len() as u64);
-            obs.wheel_depth.record(heap.len() as u64);
-        }
-        deliver_due(
-            &mut heap,
-            &mut seq,
-            &inboxes,
-            &mut stats,
-            now,
-            config,
-            &mut obs.deferrals,
-        );
-        let wait = heap
-            .peek()
-            .map(|p| p.due.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(5))
-            .min(deadline.saturating_duration_since(now))
-            .min(Duration::from_millis(5));
-        match rx.recv_timeout(wait) {
-            Ok(ShardMsg::Send {
-                from,
-                to,
-                msg,
-                label,
-            }) => {
-                let payload = msg.payload_units();
-                stats.record_send(label, payload);
-                let mut extra = Duration::ZERO;
-                if let Some(t) = tamper.as_mut() {
-                    match t.disposition(from, to, label, start.elapsed().as_millis() as Time) {
-                        Fate::Deliver => {}
-                        Fate::Delay(ms) => extra = Duration::from_millis(ms),
-                        Fate::Drop => {
-                            stats.record_drop(payload);
-                            continue;
-                        }
-                    }
-                    // Tamper shard: hand surviving messages to their
-                    // destination's shard for delay scheduling.
-                    let dest = shard_of(to, shard_count);
-                    if dest != index {
-                        let _ = peers[dest].send(ShardMsg::Forward {
-                            from,
-                            to,
-                            msg,
-                            extra,
-                        });
-                        continue;
-                    }
-                }
-                schedule(&mut heap, &mut seq, &mut rng, from, to, msg, extra);
-            }
-            Ok(ShardMsg::Forward {
-                from,
-                to,
-                msg,
-                extra,
-            }) => {
-                schedule(&mut heap, &mut seq, &mut rng, from, to, msg, extra);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    (stats, obs)
-}
-
-/// The sharded router plane (`router_shards >= 2`): N shard threads own
-/// the delay wheels and stats; the driving thread coordinates halt
-/// tracking, the stop condition, and the deadline, then merges shard
-/// stats in index order.
-fn run_router_sharded<M>(
-    actors: Vec<Box<dyn Actor<M>>>,
-    config: &ThreadedConfig,
-    stop: &mut dyn FnMut() -> bool,
-    tamper: &mut Option<Box<dyn Tamper<M>>>,
-    preflight: Option<Arc<dyn Preflight<M>>>,
-    recorder: Option<Arc<Recorder>>,
-) -> RouterRun<M>
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    let shard_count = config.effective_router_shards();
-    let start = Instant::now();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let (halt_tx, halt_rx) = unbounded::<ProcessId>();
-
-    let mut shard_txs = Vec::with_capacity(shard_count);
-    let mut shard_rxs = Vec::with_capacity(shard_count);
-    for _ in 0..shard_count {
-        let (tx, rx) = unbounded::<ShardMsg<M>>();
-        shard_txs.push(tx);
-        shard_rxs.push(rx);
-    }
-    let shard_txs = Arc::new(shard_txs);
-
-    // Inbox per actor, shared with every shard (each shard only delivers
-    // to the destinations hashed onto it, but the tamper shard may own
-    // any destination).
-    let mut inboxes: BTreeMap<ProcessId, Sender<(ProcessId, M)>> = BTreeMap::new();
-    let mut actor_handles = Vec::new();
-    let ids: Vec<ProcessId> = actors.iter().map(|a| a.id()).collect();
-    let tamper_shard = tamper.is_some().then_some(0);
-
-    // With a preflight installed, actor traffic (sends *and* halts) flows
-    // through the stage pool; a sender's halt rides its sticky worker, so
-    // when the coordinator observes it, every pre-halt send has already
-    // reached the shard channels — the existing shutdown drain then
-    // accounts for anything still queued there.
-    let unstaged = Outbox::Sharded {
-        shards: shard_txs.clone(),
-        tamper_shard,
-        halt: halt_tx.clone(),
-    };
-    let (actor_outbox, stage_handles) = match preflight {
-        Some(stage) => stage_front(&unstaged, stage, config, recorder.clone()),
-        None => (unstaged.clone(), Vec::new()),
-    };
-    drop(unstaged);
-
-    let mut actor_rxs = Vec::new();
-    for actor in &actors {
-        let (tx, rx) = bounded::<(ProcessId, M)>(4096);
-        inboxes.insert(actor.id(), tx);
-        actor_rxs.push(rx);
-    }
-    for (actor, rx) in actors.into_iter().zip(actor_rxs) {
-        let outbox = actor_outbox.clone();
-        let shutdown = shutdown.clone();
-        actor_handles.push(thread::spawn(move || {
-            actor_loop(actor, rx, outbox, shutdown, start)
-        }));
-    }
-    drop(actor_outbox);
-    drop(halt_tx);
-
-    let mut shard_handles = Vec::with_capacity(shard_count);
-    for (index, rx) in shard_rxs.into_iter().enumerate() {
-        let task = ShardTask {
-            index,
-            rx,
-            peers: shard_txs.as_ref().clone(),
-            inboxes: inboxes.clone(),
-            // Only shard 0 runs the tamper (serialized, single state).
-            tamper: if index == 0 { tamper.take() } else { None },
-        };
-        let config = config.clone();
-        let shutdown = shutdown.clone();
-        let observe = recorder.is_some();
-        shard_handles.push(thread::spawn(move || {
-            shard_loop(task, &config, &shutdown, start, observe)
-        }));
-    }
-    drop(shard_txs);
-
-    // Coordinator loop on the driving thread: halt tracking, stop
-    // condition, deadline.
-    let mut halted: BTreeMap<ProcessId, bool> = ids.iter().map(|&i| (i, false)).collect();
-    let deadline = start + config.wall_timeout;
-    let mut stopped = false;
-    loop {
-        if halted.values().all(|&h| h) {
-            break;
-        }
-        if stop()
-            || config
-                .stop
-                .as_ref()
-                .is_some_and(|s| s.load(Ordering::SeqCst))
-        {
-            stopped = true;
-            break;
-        }
-        if Instant::now() >= deadline {
-            break;
-        }
-        match halt_rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(id) => {
-                halted.insert(id, true);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-
-    let all_halted = halted.values().all(|&h| h);
-    shutdown.store(true, Ordering::SeqCst);
-    // Merge shard stats (and shard obs) in index order: deterministic
-    // given the per-shard outcomes, and conserving every counter (see
-    // `NetStats::merge`, `Histogram::merge`).
-    let mut stats = NetStats::default();
-    for handle in shard_handles {
-        let (shard_stats, shard_obs) = handle.join().expect("router shard panicked");
-        stats.merge(&shard_stats);
-        if let Some(rec) = &recorder {
-            shard_obs.merge_into(rec);
-        }
-    }
-    drop(inboxes);
-    let mut out = BTreeMap::new();
-    for handle in actor_handles {
-        let actor = handle.join().expect("actor thread panicked");
-        out.insert(actor.id(), actor);
-    }
-    // Stage workers exit once every actor has dropped its staged outbox.
-    for handle in stage_handles {
-        handle.join().expect("stage worker panicked");
-    }
-    RouterRun {
-        actors: out,
-        stats,
-        all_halted,
-        stopped,
-        elapsed: start.elapsed(),
-    }
-}
-
-fn actor_loop<M>(
-    mut actor: Box<dyn Actor<M>>,
-    inbox: Receiver<(ProcessId, M)>,
-    router: Outbox<M>,
-    shutdown: Arc<AtomicBool>,
-    start: Instant,
-) -> Box<dyn Actor<M>>
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    let id = actor.id();
-    let mut timers: BinaryHeap<(std::cmp::Reverse<Time>, TimerKind)> = BinaryHeap::new();
-    let now_ms = |start: Instant| -> Time { start.elapsed().as_millis() as Time };
-
-    let mut halted = false;
-    {
-        let mut ctx = Context::new(now_ms(start), id);
-        actor.on_start(&mut ctx);
-        halted = apply(&mut timers, &router, id, ctx, now_ms(start)) || halted;
-    }
-
-    while !halted && !shutdown.load(Ordering::SeqCst) {
-        let now = now_ms(start);
-        // Fire due timers first.
-        let mut fired = false;
-        while timers
-            .peek()
-            .is_some_and(|&(std::cmp::Reverse(at), _)| at <= now)
-        {
-            let (_, kind) = timers.pop().expect("peeked");
-            let mut ctx = Context::new(now, id);
-            actor.on_timer(kind, &mut ctx);
-            halted = apply(&mut timers, &router, id, ctx, now) || halted;
-            fired = true;
-            if halted {
-                break;
-            }
-        }
-        if halted {
-            break;
-        }
-        if fired {
-            // Fairness: an actor whose per-tick work exceeds its own timer
-            // period would otherwise loop on due timers forever and never
-            // drain its inbox — sends keep flowing out while every reply
-            // rots undelivered (a livelock the family sweeps hit with
-            // 10 ms discovery ticks and debug-build candidate searches).
-            // Drain a bounded batch of queued messages between firings so
-            // neither timers nor messages can starve the other.
-            let mut drained = 0;
-            while drained < 64 && !halted {
-                match inbox.try_recv() {
-                    Ok((from, msg)) => {
-                        let mut ctx = Context::new(now_ms(start), id);
-                        actor.on_message(from, msg, &mut ctx);
-                        halted = apply(&mut timers, &router, id, ctx, now_ms(start)) || halted;
-                        drained += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-            if halted {
-                break;
-            }
-            continue;
-        }
-        let wait = timers
-            .peek()
-            .map(|&(std::cmp::Reverse(at), _)| Duration::from_millis(at.saturating_sub(now)))
-            .unwrap_or(Duration::from_millis(20))
-            .min(Duration::from_millis(20));
-        match inbox.recv_timeout(wait) {
-            Ok((from, msg)) => {
-                let mut ctx = Context::new(now_ms(start), id);
-                actor.on_message(from, msg, &mut ctx);
-                halted = apply(&mut timers, &router, id, ctx, now_ms(start)) || halted;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    if halted {
-        router.halted(id);
-    }
-    actor
-}
-
-/// Applies buffered context effects; returns whether the actor halted.
-fn apply<M>(
-    timers: &mut BinaryHeap<(std::cmp::Reverse<Time>, TimerKind)>,
-    router: &Outbox<M>,
-    id: ProcessId,
-    ctx: Context<M>,
-    now: Time,
-) -> bool
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    let Context {
-        sends,
-        timers: new_timers,
-        halted,
-        ..
-    } = ctx;
-    for (to, msg) in sends {
-        router.send(id, to, msg);
-    }
-    for (kind, delay) in new_timers {
-        timers.push((std::cmp::Reverse(now + delay), kind));
-    }
-    halted
 }
 
 /// Shared decision board: a tiny utility actors can use (via `Arc`) to
@@ -1478,6 +199,11 @@ impl<T: Clone> Board<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::{Context, TimerKind};
+    use crate::stage::Preflight;
+    use crate::tamper::{Fate, Tamper};
+    use crate::Time;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[derive(Clone)]
     enum Msg {
@@ -1550,52 +276,29 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn threaded_pingpong() {
-        let board = Board::new();
-        let report = run_threaded(
-            pingpong_actors(&board),
-            ThreadedConfig {
-                wall_timeout: Duration::from_secs(5),
-                router_shards: 1,
-                ..ThreadedConfig::default()
-            },
-        );
-        assert!(report.all_halted, "{report:?}");
-        assert_eq!(board.len(), 2);
-        assert_eq!(report.stats.label_count("PING"), 1);
-        assert_eq!(report.stats.label_count("PONG"), 1);
-    }
-
-    #[test]
-    fn threaded_pingpong_on_every_shard_count() {
-        for shards in [2, 3, 4] {
-            let board = Board::new();
-            let report = run_threaded(
-                pingpong_actors(&board),
-                ThreadedConfig {
-                    wall_timeout: Duration::from_secs(5),
-                    router_shards: shards,
-                    ..ThreadedConfig::default()
-                },
-            );
-            assert!(report.all_halted, "shards={shards}: {report:?}");
-            assert_eq!(board.len(), 2, "shards={shards}");
-            // Merged shard stats must equal what one router would count.
-            assert_eq!(report.stats.label_count("PING"), 1, "shards={shards}");
-            assert_eq!(report.stats.label_count("PONG"), 1, "shards={shards}");
-            assert_eq!(report.stats.messages_sent, 2, "shards={shards}");
-            assert_eq!(report.stats.messages_delivered, 2, "shards={shards}");
-            // Delivered payload is counted once per delivery and conserved
-            // across the shard merge.
-            assert_eq!(report.stats.payload_delivered_units, 4, "shards={shards}");
+    fn config(wall_timeout: Duration) -> ThreadedConfig {
+        ThreadedConfig {
+            wall_timeout,
+            ..ThreadedConfig::default()
         }
     }
 
     #[test]
-    fn staged_pingpong_runs_preflight_and_preserves_stats() {
-        use std::sync::atomic::AtomicU64;
+    fn threaded_pingpong() {
+        let board = Board::new();
+        let report = run_threaded(pingpong_actors(&board), config(Duration::from_secs(5)));
+        assert!(report.all_halted, "{report:?}");
+        assert_eq!(board.len(), 2);
+        assert_eq!(report.stats.label_count("PING"), 1);
+        assert_eq!(report.stats.label_count("PONG"), 1);
+        assert_eq!(report.stats.messages_sent, 2);
+        assert_eq!(report.stats.messages_delivered, 2);
+        // Delivered payload is counted once per delivery.
+        assert_eq!(report.stats.payload_delivered_units, 4);
+    }
 
+    #[test]
+    fn staged_pingpong_runs_preflight_and_preserves_stats() {
         struct CountStage(Arc<AtomicU64>);
         impl Preflight<Msg> for CountStage {
             fn preflight(&self, _from: ProcessId, _to: ProcessId, _msg: &Msg) {
@@ -1603,45 +306,29 @@ mod tests {
             }
         }
 
-        // Single and sharded router planes, pinned and auto pool sizes.
-        // (1, 0) resolves to one auto worker on every box — the inline
-        // degenerate stage — so the preflight-visibility and stats
-        // assertions cover that path deterministically too.
-        for (shards, workers) in [(1, 0), (1, 1), (1, 3), (4, 2), (4, 0)] {
-            let seen = Arc::new(AtomicU64::new(0));
-            let board = Board::new();
-            let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(ThreadedConfig {
-                wall_timeout: Duration::from_secs(5),
-                router_shards: shards,
-                verify_workers: workers,
-                ..ThreadedConfig::default()
-            });
-            for actor in pingpong_actors(&board) {
-                rt.add_actor(actor);
-            }
-            ThreadedRuntime::set_preflight(&mut rt, Arc::new(CountStage(seen.clone())));
-            let report = rt.run_to_completion();
-            assert!(
-                report.all_halted,
-                "shards={shards} workers={workers}: {report:?}"
-            );
-            // The stage saw every send exactly once, and the router-plane
-            // stats are unchanged by staging.
-            assert_eq!(seen.load(Ordering::Relaxed), 2, "workers={workers}");
-            assert_eq!(report.stats.messages_sent, 2, "workers={workers}");
-            assert_eq!(report.stats.messages_delivered, 2, "workers={workers}");
-            assert_eq!(report.stats.label_count("PING"), 1);
-            assert_eq!(report.stats.label_count("PONG"), 1);
-            assert_eq!(report.stats.payload_delivered_units, 4);
+        let seen = Arc::new(AtomicU64::new(0));
+        let board = Board::new();
+        let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(config(Duration::from_secs(5)));
+        for actor in pingpong_actors(&board) {
+            rt.add_actor(actor);
         }
+        rt.set_preflight(Arc::new(CountStage(seen.clone())));
+        let report = rt.run_to_completion();
+        assert!(report.all_halted, "{report:?}");
+        // The stage saw every send exactly once, and the stats are
+        // unchanged by staging.
+        assert_eq!(seen.load(Ordering::Relaxed), 2);
+        assert_eq!(report.stats.messages_sent, 2);
+        assert_eq!(report.stats.messages_delivered, 2);
+        assert_eq!(report.stats.label_count("PING"), 1);
+        assert_eq!(report.stats.label_count("PONG"), 1);
+        assert_eq!(report.stats.payload_delivered_units, 4);
     }
 
     #[test]
     fn selective_stage_bypasses_unwanted_messages() {
-        use std::sync::atomic::AtomicU64;
-
-        // Wants only PING: the PONG reply must bypass the worker pool and
-        // still deliver, with the router-plane stats unchanged.
+        // Wants only PING: the PONG reply must skip the stage and still
+        // deliver, with the stats unchanged.
         struct PingStage(Arc<AtomicU64>);
         impl Preflight<Msg> for PingStage {
             fn preflight(&self, _from: ProcessId, _to: ProcessId, msg: &Msg) {
@@ -1653,60 +340,23 @@ mod tests {
             }
         }
 
-        for (shards, workers) in [(1, 1), (4, 2)] {
-            let seen = Arc::new(AtomicU64::new(0));
-            let board = Board::new();
-            let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(ThreadedConfig {
-                wall_timeout: Duration::from_secs(5),
-                router_shards: shards,
-                verify_workers: workers,
-                ..ThreadedConfig::default()
-            });
-            for actor in pingpong_actors(&board) {
-                rt.add_actor(actor);
-            }
-            ThreadedRuntime::set_preflight(&mut rt, Arc::new(PingStage(seen.clone())));
-            let report = rt.run_to_completion();
-            assert!(
-                report.all_halted,
-                "shards={shards} workers={workers}: {report:?}"
-            );
-            assert_eq!(seen.load(Ordering::Relaxed), 1, "stage saw only the PING");
-            assert_eq!(report.stats.messages_sent, 2);
-            assert_eq!(report.stats.messages_delivered, 2);
-            assert_eq!(report.stats.payload_delivered_units, 4);
+        let seen = Arc::new(AtomicU64::new(0));
+        let board = Board::new();
+        let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(config(Duration::from_secs(5)));
+        for actor in pingpong_actors(&board) {
+            rt.add_actor(actor);
         }
+        rt.set_preflight(Arc::new(PingStage(seen.clone())));
+        let report = rt.run_to_completion();
+        assert!(report.all_halted, "{report:?}");
+        assert_eq!(seen.load(Ordering::Relaxed), 1, "stage saw only the PING");
+        assert_eq!(report.stats.messages_sent, 2);
+        assert_eq!(report.stats.messages_delivered, 2);
+        assert_eq!(report.stats.payload_delivered_units, 4);
     }
 
     #[test]
-    fn verify_workers_auto_tracks_router_shards() {
-        let config = ThreadedConfig::default();
-        assert_eq!(
-            config.effective_verify_workers(),
-            config.effective_router_shards()
-        );
-        let pinned = ThreadedConfig {
-            verify_workers: 7,
-            ..ThreadedConfig::default()
-        };
-        assert_eq!(pinned.effective_verify_workers(), 7);
-    }
-
-    #[test]
-    fn auto_shards_resolve_to_cores_capped_at_four() {
-        let config = ThreadedConfig::default();
-        assert_eq!(config.router_shards, 0);
-        let effective = config.effective_router_shards();
-        assert!((1..=4).contains(&effective), "effective={effective}");
-        let pinned = ThreadedConfig {
-            router_shards: 3,
-            ..ThreadedConfig::default()
-        };
-        assert_eq!(pinned.effective_router_shards(), 3);
-    }
-
-    #[test]
-    fn sharded_tamper_drop_is_counted_once() {
+    fn tamper_drop_is_counted_once() {
         struct DropPings;
         impl Tamper<Msg> for DropPings {
             fn disposition(
@@ -1724,18 +374,14 @@ mod tests {
             }
         }
         let board = Board::new();
-        let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(ThreadedConfig {
-            wall_timeout: Duration::from_millis(300),
-            router_shards: 4,
-            ..ThreadedConfig::default()
-        });
+        let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(config(Duration::from_millis(300)));
         for actor in pingpong_actors(&board) {
             rt.add_actor(actor);
         }
-        ThreadedRuntime::set_tamper(&mut rt, Box::new(DropPings));
+        rt.set_tamper(Box::new(DropPings));
         let report = rt.run_to_completion();
-        // The PING is swallowed on the tamper shard, so nobody ever
-        // replies or halts; the run ends at the wall timeout.
+        // The PING is swallowed at the send gate, so nobody ever replies
+        // or halts; the run ends at the wall timeout.
         assert!(!report.all_halted);
         assert_eq!(report.stats.label_count("PING"), 1);
         assert_eq!(report.stats.messages_dropped, 1);
@@ -1756,20 +402,14 @@ mod tests {
             }
             fn on_message(&mut self, _: ProcessId, _: Msg, _: &mut Context<Msg>) {}
         }
-        for shards in [1, 2] {
-            let report = run_threaded(
-                vec![Box::new(Stuck {
-                    id: ProcessId::new(1),
-                }) as Box<dyn Actor<Msg>>],
-                ThreadedConfig {
-                    wall_timeout: Duration::from_millis(200),
-                    router_shards: shards,
-                    ..ThreadedConfig::default()
-                },
-            );
-            assert!(!report.all_halted);
-            assert!(report.elapsed >= Duration::from_millis(200));
-        }
+        let report = run_threaded(
+            vec![Box::new(Stuck {
+                id: ProcessId::new(1),
+            }) as Box<dyn Actor<Msg>>],
+            config(Duration::from_millis(200)),
+        );
+        assert!(!report.all_halted);
+        assert!(report.elapsed >= Duration::from_millis(200));
     }
 
     #[test]
@@ -1798,41 +438,23 @@ mod tests {
                 }
             }
         }
-        for shards in [1, 2] {
-            let report = run_threaded(
-                vec![Box::new(TimerNode {
-                    id: ProcessId::new(1),
-                    fired: 0,
-                }) as Box<dyn Actor<Msg>>],
-                ThreadedConfig {
-                    wall_timeout: Duration::from_secs(5),
-                    router_shards: shards,
-                    ..ThreadedConfig::default()
-                },
-            );
-            assert!(report.all_halted);
-        }
+        let report = run_threaded(
+            vec![Box::new(TimerNode {
+                id: ProcessId::new(1),
+                fired: 0,
+            }) as Box<dyn Actor<Msg>>],
+            config(Duration::from_secs(5)),
+        );
+        assert!(report.all_halted);
+        assert_eq!(report.stats.timers_fired, 3);
     }
 
     #[test]
     fn runtime_second_run_returns_recorded_report() {
-        use crate::runtime::Runtime;
-        let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(ThreadedConfig {
-            wall_timeout: Duration::from_secs(5),
-            ..ThreadedConfig::default()
-        });
-        rt.add_actor(Box::new(Node {
-            id: ProcessId::new(1),
-            peer: ProcessId::new(2),
-            initiator: true,
-            board: Board::new(),
-        }));
-        rt.add_actor(Box::new(Node {
-            id: ProcessId::new(2),
-            peer: ProcessId::new(1),
-            initiator: false,
-            board: Board::new(),
-        }));
+        let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(config(Duration::from_secs(5)));
+        for actor in pingpong_actors(&Board::new()) {
+            rt.add_actor(actor);
+        }
         let first = rt.run_to_completion();
         let second = rt.run_to_completion();
         assert_eq!(first, second);
@@ -1841,24 +463,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "before the run")]
     fn runtime_rejects_actor_registration_after_run() {
-        use crate::runtime::Runtime;
-        let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(ThreadedConfig {
-            wall_timeout: Duration::from_millis(50),
-            ..ThreadedConfig::default()
-        });
-        rt.add_actor(Box::new(Node {
-            id: ProcessId::new(1),
-            peer: ProcessId::new(2),
-            initiator: false,
-            board: Board::new(),
-        }));
+        let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(config(Duration::from_millis(50)));
+        let mut actors = pingpong_actors(&Board::new());
+        rt.add_actor(actors.remove(1));
         rt.run_to_completion();
-        rt.add_actor(Box::new(Node {
-            id: ProcessId::new(2),
-            peer: ProcessId::new(1),
-            initiator: false,
-            board: Board::new(),
-        }));
+        rt.add_actor(actors.remove(0));
     }
 
     #[test]

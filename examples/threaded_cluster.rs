@@ -57,12 +57,10 @@ fn main() {
     let report = run_threaded(
         actors,
         ThreadedConfig {
-            min_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(8),
             wall_timeout: Duration::from_secs(30),
             seed: 99,
             stop: Some(stop.clone()),
-            ..ThreadedConfig::default()
         },
     );
 

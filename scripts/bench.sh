@@ -4,7 +4,7 @@
 # so successive PRs can diff a single file per area for end-time /
 # message-count / payload / wall-clock drift.
 #
-#   scripts/bench.sh [--shards N] [ADVERSARY_OUT] [GRAPH_OUT] [DISCOVERY_OUT]
+#   scripts/bench.sh [ADVERSARY_OUT] [GRAPH_OUT] [DISCOVERY_OUT]
 #       ADVERSARY_OUT (default BENCH_adversary.json): table1, fig1, fig4,
 #                     adversary_grid
 #       GRAPH_OUT     (default BENCH_graph.json): graph_scale — family
@@ -13,17 +13,15 @@
 #       DISCOVERY_OUT (default BENCH_discovery.json): discovery_scale —
 #                     delta-gossip vs full-S_PD SETPDS payload on the
 #                     family sweep, end-to-end consensus at
-#                     n=100/500/1000 on both runtimes (threaded cells on
-#                     the sharded router, decisions checked against sim),
-#                     the router-shard axis, and the churn axis (n=100
+#                     n=100/500/1000 on both runtimes (threaded
+#                     decisions checked against sim), and the churn axis (n=100
 #                     cells under a join + crash-rejoin ChurnSpec, both
 #                     runtimes, threaded decisions checked against sim);
 #                     also publishes the per-family ObsReport sibling as
 #                     OBS_discovery.json beside it (observed sim cells,
 #                     virtual clock)
 #
-#   scripts/bench.sh [--shards N] --check-regression [FRESH_DISCOVERY_JSON]
-#       (options may be combined in any order ahead of positionals)
+#   scripts/bench.sh --check-regression [FRESH_DISCOVERY_JSON]
 #       Compares discovery_scale regression scalars against the committed
 #       BENCH_discovery.json: fails when a deterministic scalar — the
 #       sweep SETPDS payload or any obs_phase_* virtual-time phase scalar
@@ -39,11 +37,9 @@
 #       passes the artifact it already regenerated so the expensive run
 #       happens once.
 #
-# Determinism knobs (CI and laptops produce comparable sweep scalars):
+# Determinism knob (CI and laptops produce comparable sweep scalars):
 #   BENCH_SEED=<u64>  offsets every scenario seed (exported through to
 #                     the binaries; default = the committed seeds)
-#   --shards <n>      pins the threaded cells' router shard count
-#                     (default: the runtime's min(cores, 4) auto pick)
 # Wall-clock fields remain advisory-only either way.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -54,19 +50,12 @@ scalar() {
     grep -o "\"$2\":[0-9.]*" "$1" | head -1 | cut -d: -f2
 }
 
-# Options may appear in any order ahead of the positional arguments.
 check_regression=0
-shards_args=()
 while [[ "${1:-}" == --* ]]; do
     case "$1" in
         --check-regression)
             check_regression=1
             shift
-            ;;
-        --shards)
-            [[ -n "${2:-}" ]] || { echo "bench.sh: --shards needs a value"; exit 1; }
-            shards_args=(--shards "$2")
-            shift 2
             ;;
         *)
             echo "bench.sh: unknown option $1" >&2
@@ -88,9 +77,8 @@ if [[ "$check_regression" -eq 1 ]]; then
         fresh="$tmp/fresh.json"
         echo "==> cargo build --release -p cupft-bench --bin discovery_scale"
         cargo build --release -q -p cupft-bench --bin discovery_scale
-        echo "==> discovery_scale --json --obs ${shards_args[*]-} (fresh run for regression check)"
-        ./target/release/discovery_scale --json "$fresh" --obs \
-            ${shards_args[@]+"${shards_args[@]}"} > "$tmp/fresh.txt"
+        echo "==> discovery_scale --json --obs (fresh run for regression check)"
+        ./target/release/discovery_scale --json "$fresh" --obs > "$tmp/fresh.txt"
     fi
     fail=0
     # Deterministic scalars gate hard: the sweep payload counters plus
@@ -154,7 +142,7 @@ cargo build --release -p cupft-bench --bins
 # merge <out-file> <bin...>: run each bin with --json and merge the
 # artifacts into one {"<bin>": ...} document. BENCH_SEED (if set) reaches
 # the binaries through the environment; discovery_scale additionally
-# receives the --shards override plus --obs, so the merged artifact
+# receives --obs, so the merged artifact
 # carries the deterministic obs_phase_* scalars and the full per-family
 # ObsReports land beside it (published as OBS_discovery.json below).
 merge() {
@@ -165,9 +153,6 @@ merge() {
         local extra=()
         if [[ "$bin" == "discovery_scale" ]]; then
             extra=(--obs)
-            if [[ "${#shards_args[@]}" -gt 0 ]]; then
-                extra+=("${shards_args[@]}")
-            fi
         fi
         echo "==> $bin --json ${extra[*]-}"
         cargo run --release -q -p cupft-bench --bin "$bin" -- --json "$tmp/$bin.json" \

@@ -8,7 +8,7 @@
 #                              # adversary_sweep grid, the family_sweep
 #                              # (each graph family once at modest n), the
 #                              # delta-gossip discovery_equivalence sweep,
-#                              # the router_shards parity sweep, the
+#                              # the realtime_runtime parity sweep, the
 #                              # verify_pipeline parity/determinism suite,
 #                              # the obs_determinism observability suite
 #                              # (byte-identical observed traces, no
@@ -64,8 +64,8 @@ else
     cargo test -q --test family_sweep
     echo "==> cargo test -q --test discovery_equivalence (quick gate)"
     cargo test -q --test discovery_equivalence
-    echo "==> cargo test -q --test router_shards (quick gate)"
-    cargo test -q --test router_shards
+    echo "==> cargo test -q --test realtime_runtime (quick gate)"
+    cargo test -q --test realtime_runtime
     echo "==> cargo test -q --test verify_pipeline (quick gate)"
     cargo test -q --test verify_pipeline
     echo "==> cargo test -q --test obs_determinism (quick gate)"

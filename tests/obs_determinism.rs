@@ -141,5 +141,4 @@ fn threaded_outcome_is_unaffected_by_observation() {
     );
     assert!(obs.counter("stage_bundles") > 0);
     assert!(obs.histogram("router_inbox_depth").is_some());
-    assert!(obs.gauges.contains_key("router_shards"));
 }

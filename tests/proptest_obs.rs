@@ -2,12 +2,12 @@
 //! observationally equivalent to recording everything through a single
 //! recorder.
 //!
-//! The threaded router keeps a private `Histogram` per shard and folds
-//! them into the shared [`Recorder`] with `merge_hist` in shard-index
-//! order; these properties pin the algebra that makes that fold exact —
-//! merge conserves count/sum/extremes and lands every sample in the same
-//! log2 bucket a single recorder would have used, so quantiles cannot
-//! drift with the shard count.
+//! Hot loops (the wall-clock runtime's delay wheel, for one) keep private
+//! `Histogram`s and fold them into the shared [`Recorder`] with
+//! `merge_hist`; these properties pin the algebra that makes that fold
+//! exact — merge conserves count/sum/extremes and lands every sample in
+//! the same log2 bucket a single recorder would have used, so quantiles
+//! cannot drift with how samples were split.
 
 use bft_cupft::obs::{Histogram, Recorder};
 use proptest::prelude::*;

@@ -12,7 +12,7 @@
 //!    (printing the `SOCKET PARITY OK` line this test greps, same as CI).
 //! 3. **Tamper order** — a serialized [`Tamper`] installed on the socket
 //!    runtime sees each sender's emissions in program order, mirroring
-//!    `router_shards::tamper_sees_per_sender_emission_order_on_every_shard_count`
+//!    `realtime_runtime::tamper_sees_per_sender_emission_order`
 //!    for the TCP substrate: encode/enqueue happens at send time on the
 //!    sending actor's thread, so the order-asserting tamper must never
 //!    trip even though deliveries fan out across connections.
@@ -99,7 +99,7 @@ fn multiprocess_cell_matches_sim_on_erdos_renyi() {
     cell_reports_parity("erdos-renyi", 10);
 }
 
-// ---- tamper order over TCP (mirrors tests/router_shards.rs) ----
+// ---- tamper order over TCP (mirrors tests/realtime_runtime.rs) ----
 
 const FLOOD_N: u64 = 9;
 const FLOOD_R: u64 = 5;
@@ -193,7 +193,7 @@ fn flood_actors() -> Vec<Box<dyn Actor<FloodMsg>>> {
 /// Asserts the per-sender monotone round structure the flood emits
 /// (`FLOOD_R` batches of peers in ID order, then the `Done` batch) — any
 /// reordering before the tamper point would trip it. Same checker as the
-/// sharded-router mirror test.
+/// threaded-transport mirror test.
 struct OrderAssertingTamper {
     last_to: std::collections::BTreeMap<ProcessId, (u64, u64)>,
 }

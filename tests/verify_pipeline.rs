@@ -4,11 +4,11 @@
 //!
 //! Four claims:
 //!
-//! 1. **Decision parity** — across three graph families and pipeline
-//!    settings `{0 (serial baseline), 1, 4}` workers, both substrates
-//!    reach exactly the decisions the serial deterministic simulator
-//!    reaches. Where verification runs (inline, shared memo, worker pool)
-//!    must never leak into what gets decided.
+//! 1. **Decision parity** — across three graph families, with the
+//!    pipeline on and with the serial baseline, both substrates reach
+//!    exactly the decisions the serial deterministic simulator reaches.
+//!    Where verification runs (inline, shared memo, per process) must
+//!    never leak into what gets decided.
 //! 2. **Trace determinism** — simulator execution traces are
 //!    byte-identical (fingerprints included) with the pipeline on or off:
 //!    the virtual stage runs synchronously at the delivery event and
@@ -34,14 +34,14 @@ use bft_cupft::net::{DelayPolicy, SimConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Pipeline settings swept by the parity tests: the pinned serial
-/// baseline, a single-worker pool, and a four-worker pool.
-const POOLS: [usize; 3] = [0, 1, 4];
+/// Pipeline settings swept by the parity tests: the serial baseline and
+/// the pipelined default.
+const SERIAL: [bool; 2] = [true, false];
 
 /// Retunes tick-denominated knobs for the threaded substrate (they are
 /// read as milliseconds there).
-fn threaded_variant(scenario: &Scenario, pool: usize) -> Scenario {
-    let mut s = scenario.clone().with_verify_pool(pool);
+fn threaded_variant(scenario: &Scenario, serial: bool) -> Scenario {
+    let mut s = scenario.clone().with_serial_verify(serial);
     s.discovery_period = 10;
     s.view_timeout_base = 2_000;
     s
@@ -87,30 +87,30 @@ fn decisions_match_serial_sim_across_families_and_pool_sizes() {
     for (label, scenario) in parity_scenarios() {
         let serial = scenario
             .clone()
-            .with_verify_pool(0)
+            .with_serial_verify(true)
             .run_on(RuntimeKind::Sim);
         assert!(
             serial.check().consensus_solved(),
             "{label} serial sim: {serial:?}"
         );
-        for pool in POOLS {
+        for serial_verify in SERIAL {
             let sim = scenario
                 .clone()
-                .with_verify_pool(pool)
+                .with_serial_verify(serial_verify)
                 .run_on(RuntimeKind::Sim);
             assert_eq!(
                 serial.decisions, sim.decisions,
-                "{label}: sim decisions must not depend on the pipeline (pool={pool})"
+                "{label}: sim decisions must not depend on the pipeline (serial={serial_verify})"
             );
-            let threaded = threaded_variant(&scenario, pool).run_on(RuntimeKind::Threaded);
+            let threaded = threaded_variant(&scenario, serial_verify).run_on(RuntimeKind::Threaded);
             assert!(
                 threaded.check().consensus_solved(),
-                "{label} threaded pool={pool}: {:?}",
+                "{label} threaded serial={serial_verify}: {:?}",
                 threaded.decisions
             );
             assert_eq!(
                 serial.decisions, threaded.decisions,
-                "{label}: threaded (pool={pool}) decisions must equal serial sim"
+                "{label}: threaded (serial={serial_verify}) decisions must equal serial sim"
             );
         }
     }
@@ -126,17 +126,15 @@ fn sim_traces_are_byte_identical_pooled_vs_serial() {
         .with_byzantine(4, ByzantineStrategy::Silent)
         .with_seed(7);
     let (serial_outcome, serial_trace) =
-        run_scenario_recorded(&scenario.clone().with_verify_pool(0));
+        run_scenario_recorded(&scenario.clone().with_serial_verify(true));
     assert!(serial_outcome.check().consensus_solved());
-    for pooled in [scenario.clone(), scenario.clone().with_verify_pool(4)] {
-        let (outcome, trace) = run_scenario_recorded(&pooled);
-        assert_eq!(serial_trace.fingerprint(), trace.fingerprint());
-        assert_eq!(serial_trace, trace);
-        assert_eq!(serial_outcome.decisions, outcome.decisions);
-        assert_eq!(serial_outcome.decided_times, outcome.decided_times);
-        assert_eq!(serial_outcome.end_time, outcome.end_time);
-        assert_eq!(serial_outcome.stats, outcome.stats);
-    }
+    let (outcome, trace) = run_scenario_recorded(&scenario);
+    assert_eq!(serial_trace.fingerprint(), trace.fingerprint());
+    assert_eq!(serial_trace, trace);
+    assert_eq!(serial_outcome.decisions, outcome.decisions);
+    assert_eq!(serial_outcome.decided_times, outcome.decided_times);
+    assert_eq!(serial_outcome.end_time, outcome.end_time);
+    assert_eq!(serial_outcome.stats, outcome.stats);
 }
 
 fn psync() -> DelayPolicy {
